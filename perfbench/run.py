@@ -62,14 +62,11 @@ def _digest(payload) -> str:
 
 
 def _stage_metrics(workload, rounds) -> dict:
-    """Median stage seconds; a "1/s" stage is one over the median item time where items
-    are timed one by one, else the median over rounds of its work over its seconds."""
+    """Median over rounds of each stage's seconds, or for a "1/s" stage of its work over its seconds."""
     out = {}
     for metric, (unit, stage) in workload.STAGES.items():
         if unit == "s":
             value = statistics.median(r.seconds[stage] for r in rounds)
-        elif stage in rounds[0].samples:
-            value = 1.0 / statistics.median(t for r in rounds for t in r.samples[stage])
         else:
             value = statistics.median(r.work[stage] / r.seconds[stage] for r in rounds)
         out[metric] = (value, unit)

@@ -1,15 +1,16 @@
 """Two sets of benchmark runs of the same code, and each metric's spread against its bound.
 
-    python3 perfbench/steady.py [--runs 10] [--sets 2] [--workloads census,analyst,large,simulate]
+    python3 perfbench/steady.py
 
-Each run is ``perfbench/run.py --trace 0`` with its own seed (set s, run
-i gets seed 1000 s + i) and the run length from ``BENCHMARK.json``. For
-every end-to-end metric of every workload this prints, per set, the
-median and the spread (distance between the first and third quartiles
-over the median), and for the second set the drift (how much worse its
-median is than the first set's, as a share). A spread above the metric's
-bound (``setup_s`` excepted), a drift above it, or a different share of
-failed operations between the sets is marked FAIL. The raw results go to
+Two sets of ten runs on every workload of ``BENCHMARK.json``. Each run is
+``perfbench/run.py --trace 0`` with its own seed (set s, run i gets seed
+1000 s + i) and the run length from ``BENCHMARK.json``. For every
+end-to-end metric of every workload this prints, per set, the median and
+the spread (distance between the first and third quartiles over the
+median), and the drift (how much worse the second set's median is than
+the first set's, as a share). A spread or a drift above the metric's
+bound, or a different share of failed operations between the sets, is
+marked FAIL and makes the exit code 1. The raw results go to
 ``.perfbench_out/steady-<unix time>.json``.
 """
 
@@ -24,6 +25,8 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+SETS = 2
+RUNS = 10
 
 
 def _spread(values: list[float]) -> float:
@@ -44,17 +47,13 @@ def _run(workload: str, seed: int, seconds: int) -> dict:
 
 def main(argv=None) -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--runs", type=int, default=10)
-    parser.add_argument("--sets", type=int, choices=(1, 2), default=2)
-    parser.add_argument("--workloads", default=",".join(w["name"] for w in spec["workloads"]))
-    args = parser.parse_args(argv)
-    workloads = args.workloads.split(",")
+    argparse.ArgumentParser(description=__doc__.split("\n\n")[0]).parse_args(argv)
+    workloads = [w["name"] for w in spec["workloads"]]
 
-    results: dict = {w: [[] for _ in range(args.sets)] for w in workloads}
-    for s in range(args.sets):
+    results: dict = {w: [[] for _ in range(SETS)] for w in workloads}
+    for s in range(SETS):
         for w in workloads:
-            for i in range(args.runs):
+            for i in range(RUNS):
                 t0 = time.perf_counter()
                 res = _run(w, 1000 * (s + 1) + i, spec["run_seconds"])
                 print(f"set {s + 1} {w:9s} run {i + 1:2d}: {time.perf_counter() - t0:6.1f} s wall, "
@@ -67,7 +66,7 @@ def main(argv=None) -> int:
 
     ok = True
     print(f"\n{'workload':9s} {'metric':14s} {'bound':>6s} " + " ".join(
-        f"{'median' + str(s + 1):>12s} {'spread' + str(s + 1):>8s}" for s in range(args.sets)) + f" {'drift':>7s}")
+        f"{'median' + str(s + 1):>12s} {'spread' + str(s + 1):>8s}" for s in range(SETS)) + f" {'drift':>7s}")
     for w in workloads:
         shares = {r["failed"] / r["attempted"] for runs in results[w] for r in runs}
         if len(shares) != 1 or not all(r["correct"] for runs in results[w] for r in runs):
@@ -78,19 +77,12 @@ def main(argv=None) -> int:
             sets = [[r["metrics"][name]["value"] for r in runs] for runs in results[w]]
             medians = [statistics.median(v) for v in sets]
             spreads = [_spread(v) for v in sets]
-            verdict = "ok"
-            if name != "setup_s" and max(spreads) > bound:
-                verdict = "FAIL"
-            drift = ""
-            if args.sets == 2:
-                sign = 1 if m["better"] == "lower" else -1
-                d = sign * (medians[1] - medians[0]) / medians[0]
-                drift = f"{d:+7.3f}"
-                if d > bound:
-                    verdict = "FAIL"
+            sign = 1 if m["better"] == "lower" else -1
+            drift = sign * (medians[1] - medians[0]) / medians[0]
+            verdict = "FAIL" if max(spreads) > bound or drift > bound else "ok"
             ok &= verdict == "ok"
             cols = " ".join(f"{med:12.5g} {sp:8.3f}" for med, sp in zip(medians, spreads))
-            print(f"{w:9s} {name:14s} {bound:6.2f} {cols} {drift:>7s} {verdict}")
+            print(f"{w:9s} {name:14s} {bound:6.2f} {cols} {drift:+7.3f} {verdict}")
     return 0 if ok else 1
 
 

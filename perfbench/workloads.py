@@ -35,7 +35,6 @@ class Round:
     seconds: dict = field(default_factory=dict)  # stage name -> wall seconds
     work: dict = field(default_factory=dict)  # stage name -> items done in that stage
     outputs: dict = field(default_factory=dict)  # operation key -> (operation count, output)
-    samples: dict = field(default_factory=dict)  # stage name -> seconds of each item in it
     digests: dict = field(default_factory=dict)  # operation key -> digest of its output
 
 
@@ -132,7 +131,7 @@ class _CliWorkload:
         _write_data(inputs["data_path"], datasets[0].x)
         return inputs
 
-    def _per_dataset(self, inputs: dict, count: int) -> tuple[dict, list]:
+    def _per_dataset(self, inputs: dict, count: int) -> dict:
         raise NotImplementedError
 
     def run_round(self, inputs: dict, split: bool) -> Round:
@@ -143,11 +142,10 @@ class _CliWorkload:
         _cli(["test", str(inputs["data_path"]), "--subgroup", inputs["constructs"][-1][0][-1],
               "--alpha", repr(self.ALPHA), "--out", str(inputs["report_path"])])
         t2 = time.perf_counter()
-        results, per_dataset = self._per_dataset(inputs, self.DATASETS)
+        results = self._per_dataset(inputs, self.DATASETS)
         t3 = time.perf_counter()
         r.seconds = {"construct": t1 - t0, "load_test": t2 - t1, "datasets": t3 - t2}
         r.work = {"datasets": self.DATASETS}
-        r.samples = {"datasets": per_dataset}
         for i, ((argv, *_), report) in enumerate(zip(inputs["constructs"], reports)):
             r.outputs[f"construct_{i}"] = (1, (report, Path(argv[-1]).read_text(encoding="utf-8")))
         r.outputs["test"] = (1, inputs["report_path"].read_text(encoding="utf-8"))
@@ -218,16 +216,14 @@ class Analyst(_CliWorkload):
         self._per_dataset(inputs, 1)  # warm-up
         return inputs
 
-    def _per_dataset(self, inputs: dict, count: int) -> tuple[dict, list]:
+    def _per_dataset(self, inputs: dict, count: int) -> dict:
         rep, a = inputs["rep"], self.ALPHA
-        sub, mc, full, seconds = [], [], [], []
+        sub, mc, full = [], [], []
         for d, s in zip(inputs["datasets"][:count], inputs["mc_seeds"]):
-            t0 = time.perf_counter()
             sub.append(testkit.subgroup_test(d, rep, a))
             mc.append(testkit.mc_signflip_test(d, rep.M, a, seed=s))
             full.append(testkit.full_orthogonal_test(d, a))
-            seconds.append(time.perf_counter() - t0)
-        return {"subgroup_test": sub, "mc_signflip_test": mc, "full_orthogonal_test": full}, seconds
+        return {"subgroup_test": sub, "mc_signflip_test": mc, "full_orthogonal_test": full}
 
     def check(self, inputs: dict, outputs: dict) -> list:
         fails = super().check(inputs, outputs)
@@ -263,14 +259,9 @@ class Large(_CliWorkload):
         self._per_dataset(inputs, 1)  # warm-up
         return inputs
 
-    def _per_dataset(self, inputs: dict, count: int) -> tuple[dict, list]:
+    def _per_dataset(self, inputs: dict, count: int) -> dict:
         rep, a = inputs["rep"], self.ALPHA
-        results, seconds = [], []
-        for d in inputs["datasets"][:count]:
-            t0 = time.perf_counter()
-            results.append(testkit.subgroup_test(d, rep, a))
-            seconds.append(time.perf_counter() - t0)
-        return {"subgroup_test": results}, seconds
+        return {"subgroup_test": [testkit.subgroup_test(d, rep, a) for d in inputs["datasets"][:count]]}
 
 
 # --- simulate ---------------------------------------------------------------------
