@@ -26,7 +26,8 @@ from typing import Iterator
 
 import numpy as np
 
-from .flipcore import SignFlipSubgroup, subgroup_from_basis_masks
+from .construct import two_adic_valuation
+from .flipcore import SignFlipSubgroup, bits_to_masks, masks_to_bits, subgroup_from_basis_masks
 from .leak import Direction, leak_summary
 
 #: above this dimension enumeration will not finish at desk scale
@@ -320,16 +321,15 @@ def _cycle_types(n: int) -> tuple[tuple[int, np.ndarray], ...]:
     n-bit mask to the mask with bit i moved to the image of i.
     """
     dtype = np.int16 if n <= 14 else np.int32
-    masks = np.arange(1 << n)
+    bits = masks_to_bits(np.arange(1 << n)[:, None], n)
     out = []
     for parts in _partitions(n):
         image = []
         for k in parts:
             start = len(image)
             image += [start + (i + 1) % k for i in range(k)]
-        table = np.zeros(1 << n, dtype=dtype)
-        for i, j in enumerate(image):
-            table |= (((masks >> i) & 1) << j).astype(dtype)
+        # bit j of the image mask is bit i of the mask, where image[i] = j
+        table = np.array(bits_to_masks(bits[:, np.argsort(image)]), dtype=dtype)
         centralizer = 1
         for k in set(parts):
             m = parts.count(k)
@@ -349,10 +349,8 @@ def _orbit_pivot_set(args):
     """
     n, pivots = args
     p = len(pivots)
-    masks = np.arange(1 << n)
-    column_of = np.zeros(1 << n, dtype=np.intp)
-    for j, q in enumerate(pivots):
-        column_of |= ((masks >> q) & 1) << j
+    pivot_bits = masks_to_bits(np.arange(1 << n)[:, None], n)[:, list(pivots)]
+    column_of = np.array(bits_to_masks(pivot_bits), dtype=np.intp)
     fixed = [0] * len(_cycle_types(n))
     for _head, _tails, elements in _pivotset_batches(n, pivots):
         k, width = elements.shape
@@ -414,31 +412,13 @@ def _burnside_count(n: int, p: int) -> int:
 
 
 def oracle_census(n: int, allow_large: bool = False) -> list[int]:
-    """Orders of zero-leak subgroups (uniform direction) found by full scan.
+    """Orders of zero-leak subgroups (uniform direction), in closed form.
 
-    The trivial subgroup always counts. Non-trivial zero-leak subgroups
-    need every non-identity element to flip exactly half the coordinates,
-    which caps the rank scan at the 2-adic valuation of n.
+    Zero leak means every non-identity element flips exactly n/2
+    coordinates, i.e. a binary linear code with one nonzero weight. By
+    Bonisoli's theorem such a code of dimension k is a replicated simplex
+    code, which exists iff 2^k divides n. The trivial subgroup always
+    counts.
     """
     _check_guard(n, allow_large)
-    orders = {1}
-    if n % 2 == 1:
-        return sorted(orders)
-    max_rank = min((n & -n).bit_length() - 1, n.bit_length() - 1)
-    pop = np.array([bin(i).count("1") for i in range(1 << n)], dtype=np.int16)
-    for p in range(1, max_rank + 1):
-        target = n // 2
-        hit = False
-        for pivots in combinations(range(n), p):
-            for _head, _tails, elements in _pivotset_batches(n, pivots):
-                # column 0 is the identity by construction
-                counts = pop[elements]
-                ok = np.all(counts[:, 1:] == target, axis=1)
-                if np.any(ok):
-                    hit = True
-                    break
-            if hit:
-                break
-        if hit:
-            orders.add(1 << p)
-    return sorted(orders)
+    return [1 << k for k in range(two_adic_valuation(n) + 1)]

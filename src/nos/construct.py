@@ -23,7 +23,9 @@ import numpy as np
 from .flipcore import (
     SignFlipElement,
     SignFlipSubgroup,
+    bits_to_masks,
     extend,
+    masks_to_bits,
     span,
     subgroup_from_basis_masks,
 )
@@ -43,12 +45,7 @@ def two_adic_valuation(n: int) -> int:
 
 def _walsh_mask(n: int, j: int) -> int:
     """Alternating sign-blocks of length n / 2^j: bit i set iff block index odd."""
-    block = n >> j
-    mask = 0
-    for i in range(n):
-        if (i // block) & 1:
-            mask |= 1 << i
-    return mask
+    return bits_to_masks([(np.arange(n) // (n >> j)) & 1])[0]
 
 
 def oracle_signflip(n: int, k: int) -> SignFlipSubgroup:
@@ -158,11 +155,7 @@ def _sample_masks_outside(rng: np.random.Generator, n: int, exclude: set[int], c
     out: list[int] = []
     while len(out) < count:
         words = rng.integers(0, 2, size=(count, n), dtype=np.int64)
-        for row in words:
-            m = 0
-            for i, b in enumerate(row):
-                if b:
-                    m |= 1 << i
+        for m in bits_to_masks(words):
             if m in exclude or m in seen:
                 continue
             seen.add(m)
@@ -256,10 +249,10 @@ def two_sample_oracle(m1: int, m2: int, base: SignFlipSubgroup | None = None) ->
             stacklevel=2,
         )
     rep = matrix_representation(sub, iota)
-    # zero inner products are exact here: entries are +-1/sqrt(n)
-    signs = np.sign(iota.coords).astype(int)
-    for jcol, e in enumerate(sub.elements[1:], start=1):
-        col_signs = np.array([-1 if (e.mask >> i) & 1 else 1 for i in range(n)]) * signs
-        if int(col_signs.sum()) != 0:
-            raise AssertionError(f"column {jcol} has nonzero leak against the contrast")
+    # entries are +-1/sqrt(n), so a column has zero leak against the contrast
+    # exactly when it agrees in sign with iota on half the coordinates
+    agree = masks_to_bits(sub.element_masks()[1:], n) == (iota.coords < 0)
+    bad = np.flatnonzero(2 * agree.sum(axis=1) != n)
+    if len(bad):
+        raise AssertionError(f"column {bad[0] + 1} has nonzero leak against the contrast")
     return rep

@@ -9,13 +9,17 @@ sorted by mask value with the identity first) so that equality of
 subgroups is equality of element lists.
 
 Masks are plain Python integers, which covers any n without a special
-wide-word representation.
+wide-word representation. ``masks_to_bits`` and ``bits_to_masks`` are the
+one codec between masks and per-coordinate bit arrays; everything that
+needs the sign pattern of many masks at once goes through them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterable, Sequence
+
+import numpy as np
 
 
 class DimensionMismatchError(ValueError):
@@ -81,6 +85,31 @@ def compose(a: SignFlipElement, b: SignFlipElement) -> SignFlipElement:
     if a.n != b.n:
         raise DimensionMismatchError(f"cannot compose n={a.n} with n={b.n}")
     return SignFlipElement(a.n, a.mask ^ b.mask)
+
+
+def masks_to_bits(masks, n: int) -> np.ndarray:
+    """Bit i of every mask, True where coordinate i is negated.
+
+    ``masks`` is a sequence of Python ints, giving a (len, n) array, or an
+    integer array whose last axis holds each mask as ceil(n / 64)
+    little-endian 64-bit words, giving shape ``masks.shape[:-1] + (n,)``.
+    """
+    if isinstance(masks, np.ndarray):
+        raw = np.ascontiguousarray(masks, dtype="<u8").view(np.uint8)
+    else:
+        width = (n + 7) // 8
+        buf = b"".join(int(m).to_bytes(width, "little") for m in masks)
+        raw = np.frombuffer(buf, dtype=np.uint8).reshape(-1, width)
+    return np.unpackbits(raw, axis=-1, count=n, bitorder="little").view(bool)
+
+
+def bits_to_masks(bits) -> list[int]:
+    """Inverse of ``masks_to_bits`` for a (rows, n) bit array: one Python int per row."""
+    bits = np.asarray(bits, dtype=bool)
+    packed = np.packbits(bits, axis=-1, bitorder="little")
+    width = packed.shape[-1]
+    buf = packed.tobytes()
+    return [int.from_bytes(buf[i : i + width], "little") for i in range(0, len(buf), width)]
 
 
 def _rref_basis(masks: Iterable[int]) -> list[int]:

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .flipcore import SignFlipSubgroup, subgroup_from_basis_masks
+from .flipcore import SignFlipSubgroup, _rref_basis, bits_to_masks, masks_to_bits, subgroup_from_basis_masks
 from .leak import Direction
 
 __all__ = [
@@ -42,11 +42,14 @@ class NosFormatError(ValueError):
 
 def format_subgroup(s: SignFlipSubgroup) -> str:
     """Canonical `.nos` text of a subgroup."""
-    lines = [f"{_MAGIC} {s.n} {s.order}"]
-    for e in s.elements:
-        tokens = ["-1" if (e.mask >> i) & 1 else "+1" for i in range(s.n)]
-        lines.append(" ".join(tokens))
-    return "\n".join(lines) + "\n"
+    bits = masks_to_bits(s.element_masks(), s.n)
+    # each token is a sign, "1" and a separator: a space, or a newline at the end of the row
+    chars = np.empty(bits.shape + (3,), dtype=np.uint8)
+    chars[..., 0] = np.where(bits, ord("-"), ord("+"))
+    chars[..., 1] = ord("1")
+    chars[..., 2] = ord(" ")
+    chars[:, -1, 2] = ord("\n")
+    return f"{_MAGIC} {s.n} {s.order}\n" + chars.tobytes().decode("ascii")
 
 
 def write_subgroup(path, s: SignFlipSubgroup) -> None:
@@ -70,20 +73,18 @@ def parse_subgroup(text: str) -> SignFlipSubgroup:
     if len(lines) - 1 != m:
         raise NosFormatError(f"header promises {m} rows, found {len(lines) - 1}")
 
-    masks = []
+    bits = np.empty((m, n), dtype=bool)
     for r, line in enumerate(lines[1:]):
         tokens = line.split()
         if len(tokens) != n:
             raise NosFormatError(f"row {r} has {len(tokens)} tokens, expected {n}")
-        mask = 0
-        for i, tok in enumerate(tokens):
-            if tok in ("+1", "1"):
-                continue
-            if tok == "-1":
-                mask |= 1 << i
-            else:
-                raise NosFormatError(f"row {r}, column {i}: token {tok!r} is not +1 or -1")
-        masks.append(mask)
+        # three characters are enough: any longer token is invalid either way
+        row = np.array(tokens, dtype="U3")
+        bits[r] = row == "-1"
+        bad = np.flatnonzero(~(bits[r] | (row == "+1") | (row == "1")))
+        if len(bad):
+            raise NosFormatError(f"row {r}, column {bad[0]}: token {tokens[bad[0]]!r} is not +1 or -1")
+    masks = bits_to_masks(bits)
 
     if masks[0] != 0:
         raise NosFormatError("first row must be the identity (all +1)")
@@ -91,6 +92,13 @@ def parse_subgroup(text: str) -> SignFlipSubgroup:
         raise NosFormatError("duplicate rows")
     if masks[1:] != sorted(masks[1:]):
         raise NosFormatError("rows after the identity must be in ascending mask order")
+    # identity first, distinct and sorted: the rows form a subgroup iff they
+    # are the canonical element list of their span, which has 2^rank elements
+    basis = _rref_basis(masks)
+    if 1 << len(basis) == m:
+        sub = subgroup_from_basis_masks(n, basis)
+        if sub.element_masks() == masks:
+            return sub
     mask_set = set(masks)
     for a in masks:
         for b in masks:
@@ -99,12 +107,6 @@ def parse_subgroup(text: str) -> SignFlipSubgroup:
                     f"not closed under composition: rows with masks {a:#x} and {b:#x} "
                     f"compose to {a ^ b:#x}, which is missing"
                 )
-    if m & (m - 1):
-        raise NosFormatError(f"row count {m} is not a power of two")
-    sub = subgroup_from_basis_masks(n, masks)
-    if sub.order != m:  # closure + distinctness already imply this
-        raise NosFormatError("rows do not form a subgroup")
-    return sub
 
 
 def read_subgroup(path) -> SignFlipSubgroup:

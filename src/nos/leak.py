@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .flipcore import DimensionMismatchError, SignFlipElement, SignFlipSubgroup, extend, negation
+from .flipcore import DimensionMismatchError, SignFlipElement, SignFlipSubgroup, extend, masks_to_bits, negation
 
 _UNIT_NORM_TOL = 1e-12
 #: tolerance when comparing leak values computed from floats (general iota)
@@ -77,7 +77,7 @@ class MatrixRepresentation:
     columns: np.ndarray  # shape (n, M)
 
     def __post_init__(self):
-        cols = np.array(self.columns, dtype=float)
+        cols = np.array(self.columns, dtype=float, order="C")
         if cols.shape != (self.n, self.M):
             raise ValueError(f"columns shape {cols.shape} != ({self.n}, {self.M})")
         norms = np.linalg.norm(cols, axis=0)
@@ -117,13 +117,13 @@ def leak_value(s: SignFlipElement, iota: Direction) -> float:
         raise DimensionMismatchError(f"element n={s.n} != direction n={iota.n}")
     if iota.is_uniform:
         return (s.n - 2 * s.flip_count()) / s.n
+    return _general_leaks([s.mask], iota)[0]
+
+
+def _general_leaks(masks: list[int], iota: Direction) -> list[float]:
+    """iota' S iota per mask, each summed exactly with math.fsum."""
     sq = iota.coords * iota.coords
-    return float(math.fsum(_mask_signs(s.mask, s.n) * sq))
-
-
-def _mask_signs(mask: int, n: int) -> np.ndarray:
-    bits = np.array([(mask >> i) & 1 for i in range(n)], dtype=bool)
-    return np.where(bits, -1.0, 1.0)
+    return [math.fsum(row) for row in np.where(masks_to_bits(masks, iota.n), -sq, sq)]
 
 
 def leak_summary(s: SignFlipSubgroup | MatrixRepresentation, iota: Direction | None = None) -> LeakSummary:
@@ -164,8 +164,7 @@ def leak_summary(s: SignFlipSubgroup | MatrixRepresentation, iota: Direction | N
             distribution=tuple(v / n for v in scaled),
             scaled_distribution=scaled,
         )
-    sq = iota.coords * iota.coords
-    vals = [float(math.fsum(_mask_signs(e.mask, n) * sq)) for e in s.elements]
+    vals = _general_leaks(s.element_masks(), iota)
     others = vals[1:]
     return LeakSummary(
         delta=max(others),
@@ -185,15 +184,14 @@ def matrix_representation(s: SignFlipSubgroup, iota: Direction | None = None) ->
         iota = Direction.uniform(s.n)
     if s.n != iota.n:
         raise DimensionMismatchError(f"subgroup n={s.n} != direction n={iota.n}")
-    cols = np.empty((s.n, s.order))
-    for j, e in enumerate(s.elements):
-        cols[:, j] = _mask_signs(e.mask, s.n) * iota.coords
-    # duplicate columns mean the subgroup -> columns map is not a bijection
-    if len({tuple(cols[:, j]) for j in range(s.order)}) < s.order:
+    bits = masks_to_bits(s.element_masks(), s.n)
+    # columns j and k collide iff the element m_j ^ m_k flips only zero
+    # coordinates of iota, i.e. iff some non-identity element does
+    if not np.all(np.any(bits[1:] & (iota.coords != 0), axis=1)):
         raise ValueError(
             "duplicate columns: need delta < 1 or an iota without zero coordinates"
         )
-    return MatrixRepresentation(s.n, s.order, cols)
+    return MatrixRepresentation(s.n, s.order, np.where(bits, -iota.coords, iota.coords).T)
 
 
 def delta_from_matrix(rep: MatrixRepresentation) -> float:

@@ -19,9 +19,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .construct import oracle_orthogonal, oracle_signflip, two_adic_valuation
+from .construct import oracle_orthogonal, oracle_signflip
 from .leak import Direction, MatrixRepresentation, matrix_representation
 from .special import beta_sym_quantile
+from .testkit import exceed_counts
 
 __all__ = [
     "SimConfig",
@@ -33,8 +34,6 @@ __all__ = [
     "size_audit",
     "conjecture_probe",
 ]
-
-_CHUNK = 4096
 
 _KNOWN_TESTS = ("t", "mc-z", "mc-signflip", "mc-orthogonal", "oracle-signflip", "oracle-orthogonal")
 
@@ -121,72 +120,6 @@ def _noise(rng: np.random.Generator, reps: int, n: int, model: str, sigma: float
     return norm_eps * g / np.linalg.norm(g, axis=1, keepdims=True)
 
 
-def _subgroup_rejects(X: np.ndarray, cols: np.ndarray, alpha: float, side: str) -> np.ndarray:
-    stats = X @ cols
-    if side == "two":
-        stats = np.abs(stats)
-    obs = stats[:, 0]
-    p = np.count_nonzero(stats >= obs[:, None], axis=1) / cols.shape[1]
-    return p <= alpha
-
-
-def _distinct_mask_rows(rng: np.random.Generator, rows: int, draws: int, n: int) -> np.ndarray:
-    """(rows, draws) non-identity masks, distinct within each row, uniform."""
-    if draws > (1 << n) - 1:
-        raise ValueError(f"cannot draw {draws} distinct sign patterns in dimension {n}")
-    masks = rng.integers(1, 1 << n, size=(rows, draws), dtype=np.int64)
-    while True:
-        srt = np.sort(masks, axis=1)
-        bad = np.flatnonzero(np.any(srt[:, 1:] == srt[:, :-1], axis=1))
-        if len(bad) == 0:
-            return masks
-        masks[bad] = rng.integers(1, 1 << n, size=(len(bad), draws), dtype=np.int64)
-
-
-def _mc_signflip_rejects(
-    X: np.ndarray, iota: np.ndarray, M: int, alpha: float, side: str, mode: str, rng: np.random.Generator
-) -> np.ndarray:
-    reps, n = X.shape
-    out = np.empty(reps, dtype=bool)
-    for lo in range(0, reps, _CHUNK):
-        xc = X[lo : lo + _CHUNK] * iota  # rows iota_i x_i
-        c = xc.shape[0]
-        if mode == "without":
-            masks = _distinct_mask_rows(rng, c, M - 1, n)
-            bits = (masks[:, :, None] >> np.arange(n)) & 1
-        else:
-            bits = rng.integers(0, 2, size=(c, M - 1, n), dtype=np.int8)
-        signs = 1.0 - 2.0 * bits
-        stats = np.einsum("cmn,cn->cm", signs, xc)
-        obs = xc.sum(axis=1)
-        if side == "two":
-            stats = np.abs(stats)
-            obs = np.abs(obs)
-        exceed = 1 + np.count_nonzero(stats >= obs[:, None], axis=1)
-        out[lo : lo + c] = exceed / M <= alpha
-    return out
-
-
-def _mc_orthogonal_rejects(
-    X: np.ndarray, iota: np.ndarray, M: int, alpha: float, side: str, rng: np.random.Generator
-) -> np.ndarray:
-    reps, n = X.shape
-    out = np.empty(reps, dtype=bool)
-    for lo in range(0, reps, _CHUNK):
-        xc = X[lo : lo + _CHUNK]
-        c = xc.shape[0]
-        g = rng.standard_normal((c, M - 1, n))
-        z = g[:, :, 0] / np.linalg.norm(g, axis=2)
-        stats = z * np.linalg.norm(xc, axis=1, keepdims=True)
-        obs = xc @ iota
-        if side == "two":
-            stats = np.abs(stats)
-            obs = np.abs(obs)
-        exceed = 1 + np.count_nonzero(stats >= obs[:, None], axis=1)
-        out[lo : lo + c] = exceed / M <= alpha
-    return out
-
-
 def _t_rejects(X: np.ndarray, iota: np.ndarray, alpha: float, side: str) -> np.ndarray:
     """Closed-form orthogonal-group (equivalently t-) test, vectorized."""
     n = X.shape[1]
@@ -194,17 +127,6 @@ def _t_rejects(X: np.ndarray, iota: np.ndarray, alpha: float, side: str) -> np.n
     if side == "one":
         return z >= beta_sym_quantile(1.0 - alpha, n)
     return np.abs(z) >= beta_sym_quantile(1.0 - alpha / 2.0, n)
-
-
-def _mc_z_rejects(obs: np.ndarray, M: int, alpha: float, sigma: float, rng: np.random.Generator) -> np.ndarray:
-    reps = len(obs)
-    out = np.empty(reps, dtype=bool)
-    for lo in range(0, reps, _CHUNK):
-        o = obs[lo : lo + _CHUNK]
-        draws = sigma * rng.standard_normal((len(o), M - 1))
-        exceed = 1 + np.count_nonzero(draws >= o[:, None], axis=1)
-        out[lo : lo + len(o)] = exceed / M <= alpha
-    return out
 
 
 def _resolve_columns(test_id: str, n: int, M: int, iota: Direction, subgroup_reps: dict) -> np.ndarray:
@@ -239,17 +161,17 @@ def _rejects_for(
     rng: np.random.Generator,
     subgroup_reps: dict,
 ) -> np.ndarray:
-    n = X.shape[1]
     if test_id == "t":
         return _t_rejects(X, iota.coords, alpha, side)
-    if test_id == "mc-signflip":
-        return _mc_signflip_rejects(X, iota.coords, M, alpha, side, mc_mode, rng)
-    if test_id == "mc-orthogonal":
-        return _mc_orthogonal_rejects(X, iota.coords, M, alpha, side, rng)
-    if test_id == "mc-z":
-        return _mc_z_rejects(X @ iota.coords, M, alpha, sigma, rng)
-    cols = _resolve_columns(test_id, n, M, iota, subgroup_reps)
-    return _subgroup_rejects(X, cols, alpha, side)
+    if test_id.startswith("mc-"):
+        counts, _obs = exceed_counts(
+            test_id, X, "one" if test_id == "mc-z" else side, iota=iota.coords, M=M,
+            replacement=mc_mode, sigma=sigma, rng=rng,
+        )
+        return counts / M <= alpha
+    cols = _resolve_columns(test_id, X.shape[1], M, iota, subgroup_reps)
+    counts, _obs = exceed_counts("subgroup", X, side, columns=cols)
+    return counts / cols.shape[1] <= alpha
 
 
 def power_table(config: SimConfig, side: str = "one") -> SimReport:
@@ -303,7 +225,8 @@ def consistency_probe(
     for lo in range(0, reps, 1 << 16):
         c = min(1 << 16, reps - lo)
         X = snr * iota + _noise(rng, c, rep_subgroup.n, "fixed-norm-sphere", 1.0, 1.0)
-        count += int(np.count_nonzero(_subgroup_rejects(X, rep_subgroup.columns, alpha, "one")))
+        counts, _obs = exceed_counts("subgroup", X, columns=rep_subgroup.columns)
+        count += int(np.count_nonzero(counts / M <= alpha))
     return {"all_rejected": count == reps, "count": count, "replications": reps}
 
 
@@ -319,8 +242,10 @@ def power_curve(
     for i, snr in enumerate(snr_grid):
         rng = _cell_rng(seed, i)
         X = float(snr) * iota.coords + _noise(rng, reps, n, "fixed-norm-sphere", 1.0, 1.0)
-        sub = float(np.mean(_subgroup_rejects(X, rep_subgroup.columns, alpha, "one")))
-        mc = float(np.mean(_mc_orthogonal_rejects(X, iota.coords, M, alpha, "one", rng)))
+        sub_counts, _obs = exceed_counts("subgroup", X, columns=rep_subgroup.columns)
+        mc_counts, _obs = exceed_counts("mc-orthogonal", X, iota=iota.coords, M=M, rng=rng)
+        sub = float(np.mean(sub_counts / M <= alpha))
+        mc = float(np.mean(mc_counts / M <= alpha))
         rows.append(
             {
                 "snr": float(snr),
@@ -364,18 +289,12 @@ def pvalue_variability(
     var_mc = np.empty(n_datasets)
     for d in range(n_datasets):
         x = mu + rng.standard_normal(n)
-        obs = float(x @ iota.coords)
-
-        perms = rng.permuted(np.tile(x, (n_resamples, 1)), axis=1)
-        stats = perms @ cols
-        p_sub = np.count_nonzero(stats >= obs, axis=1) / M
-        var_sub[d] = np.var(p_sub)
-
-        bits = rng.integers(0, 2, size=(n_resamples, M - 1, n), dtype=np.int8)
-        signs = 1.0 - 2.0 * bits
-        mc_stats = np.einsum("rmn,n->rm", signs, iota.coords * x)
-        p_mc = (1 + np.count_nonzero(mc_stats >= obs, axis=1)) / M
-        var_mc[d] = np.var(p_mc)
+        tiled = np.tile(x, (n_resamples, 1))
+        perms = rng.permuted(tiled, axis=1)
+        sub, _obs = exceed_counts("subgroup", perms, columns=cols)
+        mc, _obs = exceed_counts("mc-signflip", tiled, iota=iota.coords, M=M, replacement="with", rng=rng)
+        var_sub[d] = np.var(sub / M)
+        var_mc[d] = np.var(mc / M)
     return {
         "avg_var_subgroup_permuted": float(np.mean(var_sub)),
         "avg_var_mc": float(np.mean(var_mc)),

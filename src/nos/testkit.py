@@ -1,12 +1,18 @@
 """Invariance tests: subgroup, Monte Carlo, full orthogonal group, references.
 
-All finite tests share one execution path: a transformation set is given
-by its matrix representation (columns are the images of the direction
-iota, identity first), the statistic for each transformation is a single
-inner product with the data, and the p-value is the fraction of
-transformations whose statistic reaches the observed one. Ties count
-against rejection. The full-orthogonal-group test has a closed form
-through the symmetric Beta law and is equivalent to the one-sample
+All finite tests share one execution path, ``exceed_counts``: it maps a
+batch of datasets X (reps x n) to exceed counts for one transformation
+family (subgroup columns, MC sign-flip, MC orthogonal, MC z), and a single
+dataset is the batch at reps = 1. The statistic of a transformation is an
+inner product with the data, and the p-value is the fraction of the M
+transformations, the identity included, whose statistic reaches the
+observed one. Ties count against rejection, in floating point too: a
+statistic within tau = 2 n eps ||x||_2 below the observed one counts as
+reaching it. That is twice the worst-case rounding error of an n-term
+inner product with a unit column, so an exact tie is never lost to
+rounding and the test is never anti-conservative. The MC z family has no
+data vector and uses tau = 0. The full-orthogonal-group test has a closed
+form through the symmetric Beta law and is equivalent to the one-sample
 t-test.
 """
 
@@ -16,17 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .flipcore import DimensionMismatchError
+from .flipcore import DimensionMismatchError, masks_to_bits
 from .leak import Direction, MatrixRepresentation
-from .special import (
-    beta_sym_cdf,
-    beta_sym_quantile,
-    beta_to_t,
-    betainc_inv_reg,
-    betainc_reg,
-    t_cdf,
-    t_quantile,
-)
+from .special import beta_sym_cdf
 
 __all__ = [
     "Dataset",
@@ -37,13 +35,7 @@ __all__ = [
     "mc_orthogonal_test",
     "full_orthogonal_test",
     "mc_z_test",
-    "beta_sym_cdf",
-    "beta_sym_quantile",
-    "beta_to_t",
-    "betainc_reg",
-    "betainc_inv_reg",
-    "t_cdf",
-    "t_quantile",
+    "exceed_counts",
 ]
 
 _COLUMN_MATCH_TOL = 1e-10
@@ -126,18 +118,138 @@ def statistic(x, iota: Direction, side: str = "one") -> float:
     return abs(v) if side == "two" else v
 
 
-def _result_from_stats(stats: np.ndarray, side: str, alpha: float) -> TestResult:
-    """Exceedance p-value from per-transformation statistics (identity first)."""
+#: rows per Monte Carlo draw; fixes the draw order of seeded batches
+_CHUNK = 4096
+#: tie tolerance tau = _TIE_EPS * n * ||x||_2 (see the module docstring)
+_TIE_EPS = 2.0 * np.finfo(float).eps
+
+
+def tie_tolerance(X: np.ndarray) -> np.ndarray:
+    """Per-row tie tolerance tau = 2 n eps ||x||_2 of a (reps, n) batch."""
+    return _TIE_EPS * X.shape[1] * np.sqrt((X * X).sum(axis=1))
+
+
+def _exceed(stats: np.ndarray, obs: np.ndarray, tau: np.ndarray, side: str) -> np.ndarray:
+    """The one exceedance counter: #{j : stats[r, j] >= obs[r] - tau[r]} for every row r."""
     if side == "two":
-        stats = np.abs(stats)
-    obs = stats[0]
-    exceed = int(np.count_nonzero(stats >= obs))
-    total = len(stats)
+        stats, obs = np.abs(stats), np.abs(obs)
+    return (stats >= (obs - tau)[:, None]).sum(axis=1)
+
+
+def _repeats(words: np.ndarray) -> np.ndarray:
+    """Entries of a (rows, draws, words) mask array that are the identity or repeat one earlier in the row."""
+    if words.shape[2] == 1:
+        keys = words[..., 0]
+    else:
+        keys = np.ascontiguousarray(words).view(np.dtype((np.void, 8 * words.shape[2])))[..., 0]
+    order = np.argsort(keys, axis=1, kind="stable")  # equal keys keep their position order
+    srt = np.take_along_axis(keys, order, axis=1)
+    repeat = np.zeros(keys.shape, dtype=bool)
+    np.put_along_axis(repeat, order[:, 1:], srt[:, 1:] == srt[:, :-1], axis=1)
+    return repeat | ~words.any(axis=2)
+
+
+def distinct_mask_bits(rng: np.random.Generator, rows: int, draws: int, n: int) -> np.ndarray:
+    """(rows, draws, n) bits: per row, ``draws`` distinct non-identity masks, uniform without replacement.
+
+    The identity is excluded because the tests supply it separately. Any n
+    works: a mask is drawn as little-endian 64-bit words. Entries that are
+    the identity or repeat an earlier entry of their row are redrawn, and
+    only those: which entries they are depends only on the pattern of
+    equalities, which relabelling the non-identity masks leaves unchanged,
+    so the result is uniform. When more than half of the 2^n - 1 patterns
+    are drawn, each row is instead a prefix of a random permutation, so no
+    redraw loop runs long.
+    """
+    patterns = (1 << n) - 1
+    if draws > patterns:
+        raise ValueError(f"cannot draw {draws} distinct sign patterns in dimension {n}")
+    if 2 * draws > patterns:
+        perms = rng.permuted(np.tile(np.arange(1, patterns + 1, dtype=np.uint64), (rows, 1)), axis=1)
+        return masks_to_bits(perms[:, :draws, None], n)
+    tops = [(1 << min(64, n - lo)) - 1 for lo in range(0, n, 64)]  # largest value of each word
+    high = tops[0] if len(tops) == 1 else np.array(tops, dtype=np.uint64)
+
+    def draw(count):
+        return rng.integers(0, high, size=(count, len(tops)), dtype=np.uint64, endpoint=True)
+
+    words = draw(rows * draws).reshape(rows, draws, len(tops))
+    redo = _repeats(words)
+    live = np.arange(rows)  # rows that may still hold repeats
+    while redo.any():
+        hit = redo.any(axis=1)
+        live, redo = live[hit], redo[hit]
+        sub = words[live]
+        sub[redo] = draw(int(redo.sum()))
+        words[live] = sub
+        redo = _repeats(sub)
+    return masks_to_bits(words, n)
+
+
+def exceed_counts(
+    family: str,
+    X,
+    side: str = "one",
+    *,
+    columns: np.ndarray | None = None,
+    iota: np.ndarray | None = None,
+    M: int = 1,
+    replacement: str = "without",
+    sigma: float = 1.0,
+    rng: np.random.Generator | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Exceed counts and observed statistics of every row of X (reps x n) under one finite family.
+
+    ``family`` is "subgroup" (statistics X @ columns, the identity in
+    column 0), "mc-signflip" (M - 1 random sign patterns of ``iota``, drawn
+    with or without ``replacement``), "mc-orthogonal" (M - 1 uniform random
+    rotations of ``iota``) or "mc-z" (M - 1 draws of N(0, sigma^2) against
+    X @ iota, with tau = 0). Row r's count is the number of transformations,
+    the identity included, whose statistic reaches row r's observed one.
+    Monte Carlo draws come from ``rng`` in chunks of 4096 rows. The observed
+    statistics are returned as absolute values when ``side`` is "two".
+    """
+    X = np.asarray(X, dtype=float)
+    if X.ndim == 1:
+        X = X[None]
+    reps, n = X.shape
+    tau = np.zeros(reps) if family == "mc-z" else tie_tolerance(X)
+    if family == "subgroup":
+        stats = X @ columns
+        obs = stats[:, 0]
+        counts = _exceed(stats, obs, tau, side)
+    else:
+        obs = X @ iota
+        counts = np.empty(reps, dtype=np.int64)
+        for lo in range(0, reps, _CHUNK):
+            xc = X[lo : lo + _CHUNK]
+            c = len(xc)
+            if family == "mc-signflip":
+                if replacement == "with":
+                    bits = rng.integers(0, 2, size=(c, M - 1, n), dtype=np.int8)
+                else:
+                    bits = distinct_mask_bits(rng, c, M - 1, n)
+                stats = np.einsum("cmn,cn->cm", 1.0 - 2.0 * bits, xc * iota)
+            elif family == "mc-orthogonal":
+                g = rng.standard_normal((c, M - 1, n))
+                stats = g[:, :, 0] / np.linalg.norm(g, axis=2) * np.linalg.norm(xc, axis=1, keepdims=True)
+            elif family == "mc-z":
+                stats = sigma * rng.standard_normal((c, M - 1))
+            else:
+                raise ValueError(f"unknown test family {family!r}")
+            counts[lo : lo + c] = 1 + _exceed(stats, obs[lo : lo + c], tau[lo : lo + c], side)
+    return counts, (np.abs(obs) if side == "two" else obs)
+
+
+def _finite_result(family: str, x, total: int, alpha: float, side: str, **kwargs) -> TestResult:
+    """TestResult of one dataset: the batched kernel at reps = 1."""
+    counts, obs = exceed_counts(family, x, side, **kwargs)
+    exceed = int(counts[0])
     p = exceed / total
     return TestResult(
         p_value=p,
         reject=p <= alpha,
-        statistic=float(obs),
+        statistic=float(obs[0]),
         exceed_count=exceed,
         total=total,
         side=side,
@@ -153,32 +265,7 @@ def subgroup_test(data: Dataset, rep: MatrixRepresentation, alpha: float, side: 
         raise DimensionMismatchError(f"representation n={rep.n} != data n={data.n}")
     if np.max(np.abs(rep.iota - data.iota.coords)) > _COLUMN_MATCH_TOL:
         raise ValueError("column 0 of the representation must equal the data's iota")
-    stats = data.x @ rep.columns
-    return _result_from_stats(stats, side, alpha)
-
-
-def _sample_distinct_masks(rng: np.random.Generator, n: int, count: int) -> np.ndarray:
-    """``count`` distinct non-identity n-bit masks, uniform without replacement.
-
-    The identity is excluded because the test always supplies it
-    separately; including it among the draws would duplicate the observed
-    statistic and make the test conservative. Returns a (count, n)
-    boolean bit array. Enumerates the group when it is small; otherwise
-    redraws until all rows are distinct and nonzero.
-    """
-    if n <= 22:
-        masks = 1 + rng.choice((1 << n) - 1, size=count, replace=False)
-        return ((masks[:, None] >> np.arange(n)) & 1).astype(bool)
-    bits = rng.integers(0, 2, size=(count, n), dtype=np.int8).astype(bool)
-    while True:
-        _, first = np.unique(bits, axis=0, return_index=True)
-        keep = np.zeros(count, dtype=bool)
-        keep[first] = True
-        keep &= np.any(bits, axis=1)  # reject the identity row
-        if keep.all():
-            return bits
-        redo = np.flatnonzero(~keep)
-        bits[redo] = rng.integers(0, 2, size=(len(redo), n), dtype=np.int8).astype(bool)
+    return _finite_result("subgroup", data.x, rep.M, alpha, side, columns=rep.columns)
 
 
 def mc_signflip_test(
@@ -196,20 +283,10 @@ def mc_signflip_test(
         raise ValueError(f"replacement must be 'with' or 'without', got {replacement!r}")
     if M < 1:
         raise ValueError("M must be at least 1")
-    n = data.n
-    if replacement == "without" and M > (1 << n):
-        raise ValueError(f"cannot draw {M - 1} distinct sign patterns in dimension {n}")
-    rng = np.random.default_rng(seed)
-    if M == 1:
-        bits = np.zeros((0, n), dtype=bool)
-    elif replacement == "with":
-        bits = rng.integers(0, 2, size=(M - 1, n), dtype=np.int8).astype(bool)
-    else:
-        bits = _sample_distinct_masks(rng, n, M - 1)
-    signs = np.where(bits, -1.0, 1.0)
-    flipped_stats = (signs * (data.iota.coords * data.x)).sum(axis=1)
-    stats = np.concatenate([[float(data.iota.coords @ data.x)], flipped_stats])
-    return _result_from_stats(stats, side, alpha)
+    return _finite_result(  # the sampler rejects M - 1 > 2^n - 1 draws without replacement
+        "mc-signflip", data.x, M, alpha, side, iota=data.iota.coords, M=M,
+        replacement=replacement, rng=np.random.default_rng(seed),
+    )
 
 
 def mc_orthogonal_test(data: Dataset, M: int, alpha: float, side: str = "one", seed=None) -> TestResult:
@@ -223,14 +300,11 @@ def mc_orthogonal_test(data: Dataset, M: int, alpha: float, side: str = "one", s
     _check_alpha(alpha)
     if M < 1:
         raise ValueError("M must be at least 1")
-    norm_x = float(np.linalg.norm(data.x))
-    if norm_x == 0.0:
+    if not np.any(data.x):
         raise ValueError("x must have positive norm")
-    rng = np.random.default_rng(seed)
-    g = rng.standard_normal((M - 1, data.n))
-    z = g[:, 0] / np.linalg.norm(g, axis=1) if M > 1 else np.zeros(0)
-    stats = np.concatenate([[float(data.iota.coords @ data.x)], z * norm_x])
-    return _result_from_stats(stats, side, alpha)
+    return _finite_result(
+        "mc-orthogonal", data.x, M, alpha, side, iota=data.iota.coords, M=M, rng=np.random.default_rng(seed)
+    )
 
 
 def full_orthogonal_test(data: Dataset, alpha: float, side: str = "one") -> TestResult:
@@ -284,8 +358,9 @@ def mc_z_test(observed: float, M: int, alpha: float, sigma: float = 1.0, seed=No
         raise ValueError("M must be at least 1")
     if sigma <= 0:
         raise ValueError("sigma must be positive")
-    rng = np.random.default_rng(seed)
-    draws = sigma * rng.standard_normal(M - 1)
-    stats = np.concatenate([[float(observed)], draws])
-    return _result_from_stats(stats, "one", alpha)
+    # the observed value is the statistic of a one-coordinate dataset along iota = (1,)
+    return _finite_result(
+        "mc-z", [[float(observed)]], M, alpha, "one", iota=np.ones(1), M=M, sigma=sigma,
+        rng=np.random.default_rng(seed),
+    )
 

@@ -12,7 +12,8 @@ import pytest
 from scipy import stats
 
 import nos
-from nos.simlab import _cell_rng, _mc_orthogonal_rejects, _noise
+from nos.simlab import _cell_rng, _noise
+from nos.testkit import exceed_counts
 
 
 def _band(alpha, reps, k=3.0):
@@ -90,7 +91,8 @@ def test_criterion_07_mc_orthogonal_not_consistent():
     iota = nos.Direction.uniform(n)
     rng = _cell_rng(13, 0)
     X = 1.5 * iota.coords + _noise(rng, reps, n, "fixed-norm-sphere", 1.0, 1.0)
-    rejects = _mc_orthogonal_rejects(X, iota.coords, M, 1.0 / M, "one", rng)
+    counts, _obs = exceed_counts("mc-orthogonal", X, "one", iota=iota.coords, M=M, rng=rng)
+    rejects = counts / M <= 1.0 / M
     failures = reps - int(np.count_nonzero(rejects))
     assert failures >= 50
 

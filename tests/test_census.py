@@ -1,7 +1,7 @@
 """Counting, enumeration, and the leak census."""
 
 import os
-from itertools import islice, permutations
+from itertools import combinations, islice, permutations
 
 import numpy as np
 import pytest
@@ -9,6 +9,7 @@ import pytest
 from nos.census import (
     EnumerationGuardError,
     _burnside_count,
+    _pivotset_batches,
     count_all_subgroups,
     enumerate_subgroups,
     gaussian_binomial,
@@ -122,6 +123,31 @@ def test_oracle_census():
     assert oracle_census(4) == [1, 2, 4]
     assert oracle_census(6) == [1, 2]
     assert oracle_census(8) == [1, 2, 4, 8]
+
+
+def _zero_leak_orders_by_scan(n):
+    """Orders 2^p with a rank-p subgroup whose non-identity elements all flip n/2 coordinates.
+
+    Zero leak passes to subgroups, so the scan stops at the first rank
+    without one.
+    """
+    pop = np.array([bin(i).count("1") for i in range(1 << n)], dtype=np.int16)
+    orders = [1]
+    for p in range(1, n + 1):
+        hit = n % 2 == 0 and any(
+            np.any(np.all(pop[elements[:, 1:]] == n // 2, axis=1))  # column 0 is the identity
+            for pivots in combinations(range(n), p)
+            for _head, _tails, elements in _pivotset_batches(n, pivots)
+        )
+        if not hit:
+            return orders
+        orders.append(1 << p)
+    return orders
+
+
+def test_oracle_census_matches_full_scan():
+    for n in range(1, 11):
+        assert oracle_census(n) == _zero_leak_orders_by_scan(n), n
 
 
 def test_census_report_serialization():

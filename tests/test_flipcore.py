@@ -1,5 +1,6 @@
 """Group algebra of sign-flip elements and subgroups."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,12 +8,14 @@ from hypothesis import strategies as st
 from nos.flipcore import (
     DimensionMismatchError,
     SignFlipElement,
+    bits_to_masks,
     compose,
     element_from_signs,
     extend,
     full_group,
     identity,
     is_subgroup,
+    masks_to_bits,
     negation,
     span,
     subgroup_from_basis_masks,
@@ -123,3 +126,17 @@ def test_span_is_closed_and_canonical(n, data):
             assert a ^ b in mask_set
     for g in gens:
         assert SignFlipElement(n, g) in s
+
+
+@settings(max_examples=60)
+@given(n=st.integers(min_value=1, max_value=200), data=st.data())
+def test_mask_bit_codec_roundtrip(n, data):
+    masks = data.draw(st.lists(st.integers(min_value=0, max_value=(1 << n) - 1), max_size=8))
+    bits = masks_to_bits(masks, n)
+    assert bits.shape == (len(masks), n) and bits.dtype == bool
+    signs = (1 - 2 * bits.astype(int)).tolist()
+    assert [SignFlipElement(n, m).signs() for m in masks] == [tuple(r) for r in signs]
+    assert bits_to_masks(bits) == masks
+    words = [[(m >> lo) & (2**64 - 1) for lo in range(0, n, 64)] for m in masks]
+    words = np.array(words, dtype=np.uint64).reshape(len(masks), (n + 63) // 64)
+    assert np.array_equal(masks_to_bits(words, n), bits)

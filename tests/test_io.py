@@ -73,6 +73,20 @@ def test_closure_error_names_offending_pair():
         parse_subgroup(text)
 
 
+def test_roundtrip_large_subgroup():
+    # 2^15 rows: validation must not compose every pair of rows
+    s = subgroup_from_basis_masks(16, [0b11 << i for i in range(15)])
+    text = format_subgroup(s)
+    assert text.count("\n") == 1 + (1 << 15)
+    assert parse_subgroup(text) == s
+
+
+def test_parse_accepts_unsigned_one_and_rejects_long_tokens():
+    assert parse_subgroup("NOS1 2 2\n1 1\n1 -1\n") == parse_subgroup(ORACLE_N2)
+    with pytest.raises(NosFormatError, match="row 1, column 0: token '-1.0'"):
+        parse_subgroup("NOS1 2 2\n+1 +1\n-1.0 -1\n")
+
+
 def test_read_data(tmp_path):
     path = tmp_path / "x.txt"
     path.write_text("1.5\n-2.0\n\n0.25\n", encoding="utf-8")

@@ -86,6 +86,17 @@ def test_matrix_representation_duplicate_columns_rejected():
         matrix_representation(s, iota)
 
 
+def test_matrix_representation_duplicates_iff_flip_inside_zero_coordinates():
+    # iota zero on coordinates 2 and 3: columns collide iff some element flips only those
+    iota = Direction.from_vector([1.0, 2.0, 0.0, 0.0], normalize=True)
+    ok = subgroup_from_basis_masks(4, [0b0101, 0b1010])
+    rep = matrix_representation(ok, iota)
+    assert len({tuple(c) for c in rep.columns.T}) == rep.M
+    for gens in ([0b1100], [0b0100], [0b0111, 0b0011]):
+        with pytest.raises(ValueError, match="duplicate"):
+            matrix_representation(subgroup_from_basis_masks(4, gens), iota)
+
+
 def test_leak_summary_from_representation_matches_subgroup():
     s = subgroup_from_basis_masks(4, [0b0110, 0b1111])
     a = leak_summary(s)

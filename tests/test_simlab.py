@@ -67,6 +67,12 @@ def test_size_audit_exact_tests():
         assert abs(rate - alpha) <= 4 * se, (test_id, rate)
 
 
+def test_size_audit_mc_signflip_draws_many_distinct_patterns():
+    # 63 of the 255 non-identity patterns per replication
+    rate = size_audit("mc-signflip", 8, 1 / 16, 256, seed=3, M=64)
+    assert abs(rate - 1 / 16) <= 5 * np.sqrt(1 / 16 * 15 / 16 / 256)
+
+
 def test_consistency_probe_null_never_all_rejects():
     rep = _oracle_rep(8)
     out = consistency_probe(rep, 0.0, 2000, seed=1)

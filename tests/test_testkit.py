@@ -8,11 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from nos.construct import oracle_signflip
+from nos.construct import oracle_signflip, two_adic_valuation
 from nos.flipcore import full_group, subgroup_from_basis_masks
 from nos.leak import Direction, matrix_representation
 from nos.testkit import (
     Dataset,
+    distinct_mask_bits,
+    exceed_counts,
     full_orthogonal_test,
     mc_orthogonal_test,
     mc_signflip_test,
@@ -20,6 +22,7 @@ from nos.testkit import (
     statistic,
     subgroup_test,
     t_statistic,
+    tie_tolerance,
 )
 
 
@@ -144,14 +147,19 @@ def _orbit_rejections(x, group, alpha):
 
     The statistics at g.x are those at x, reindexed by g, so at most
     floor(alpha*M) of the M orbit points can rank in the top alpha
-    (ties count against rejection), with equality when all are distinct.
+    (ties count against rejection), with equality when all are distinct,
+    i.e. when no two are close enough to count as tied.
     """
     rep = matrix_representation(group)
     rejections = sum(
         subgroup_test(_dataset(g.apply(x)), rep, alpha).reject for g in group.elements
     )
-    stats = np.asarray(x, dtype=float) @ rep.columns
-    return rejections, len(np.unique(stats)) == rep.M
+    # "distinct" must follow the kernel's tie rule: statistics closer than
+    # tau count as tied. Gaps above 2 tau stay above tau at every orbit
+    # point, whose statistics differ from these only by rounding.
+    x = np.asarray(x, dtype=float)
+    gaps = np.diff(np.sort(x @ rep.columns))
+    return rejections, bool(np.all(gaps > 2 * tie_tolerance(x[None])[0]))
 
 
 @settings(max_examples=40, deadline=None)
@@ -187,3 +195,62 @@ def test_oracle_subgroup_stats_are_uncorrelated_projections():
     rep = matrix_representation(oracle_signflip(8, 3))
     gram = rep.columns.T @ rep.columns
     assert np.allclose(gram, np.eye(8), atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [12, 24, 48, 96])
+@pytest.mark.parametrize("side", ["one", "two"])
+def test_exceed_count_is_exact_on_integer_data(n, side):
+    # integer data on an oracle subgroup tie exactly and often; every
+    # exact tie must count, and a row's count must not depend on its batch
+    k = min(two_adic_valuation(n), 5)
+    rep = matrix_representation(oracle_signflip(n, k))
+    signs = np.rint(rep.columns * math.sqrt(n)).astype(np.int64)
+    X = np.random.default_rng(n).integers(-2, 3, size=(300, n))
+    exact = X @ signs
+    if side == "two":
+        exact = np.abs(exact)
+    want = np.count_nonzero(exact >= exact[:, :1], axis=1)
+    batched, _obs = exceed_counts("subgroup", X, side, columns=rep.columns)
+    single = [subgroup_test(_dataset(x), rep, 0.05, side).exceed_count for x in X]
+    assert np.array_equal(batched, want)
+    assert np.array_equal(single, want)
+
+
+def test_mc_signflip_with_replacement_counts_drawn_ties():
+    # x = (3, 1, 5), two-sided: the patterns +-I reach |3 + 1 + 5| = 9
+    # exactly and no other pattern comes near, so every draw of them counts
+    res = mc_signflip_test(_dataset([3.0, 1.0, 5.0]), 400, 0.05, side="two", replacement="with", seed=1)
+    bits = np.random.default_rng(1).integers(0, 2, size=(399, 3), dtype=np.int8)
+    assert res.exceed_count == 1 + int(np.count_nonzero(np.all(bits == bits[:, :1], axis=1)))
+
+
+def test_mc_signflip_without_replacement_any_n():
+    # n = 100 is beyond any integer mask type
+    x = _dataset(np.random.default_rng(3).standard_normal(100) + 0.5)
+    res = mc_signflip_test(x, 200, 0.05, seed=4)
+    assert res.total == 200 and 1 <= res.exceed_count <= 200
+    assert res == mc_signflip_test(x, 200, 0.05, seed=4)
+
+
+@pytest.mark.parametrize("n,draws", [(3, 3), (3, 6), (8, 63), (100, 40)])
+def test_distinct_mask_bits_are_distinct_and_non_identity(n, draws):
+    bits = distinct_mask_bits(np.random.default_rng(n), 500, draws, n)
+    assert bits.shape == (500, draws, n)
+    assert bits.any(axis=2).all()
+    for row in bits:
+        assert len(np.unique(row, axis=0)) == draws
+
+
+@pytest.mark.parametrize("draws", [3, 5])
+def test_distinct_mask_bits_uniform_over_subsets(draws):
+    # n = 3: 7 non-identity masks. 3 draws take the redraw path, 5 the
+    # permutation path; every draws-subset must be equally likely.
+    rows = 40_000
+    bits = distinct_mask_bits(np.random.default_rng(0), rows, draws, 3)
+    masks = (bits * (1 << np.arange(3))).sum(axis=2)
+    subsets = (1 << masks).sum(axis=1)  # a row's mask set as a 7-bit word
+    n_subsets = math.comb(7, draws)
+    freq = np.bincount(subsets, minlength=1 << 8) / rows
+    p = 1 / n_subsets
+    assert np.count_nonzero(freq) == n_subsets
+    assert np.all(np.abs(freq[freq > 0] - p) <= 5 * math.sqrt(p * (1 - p) / rows))
