@@ -19,7 +19,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import combinations, product
 from math import factorial
 from typing import Iterator
@@ -28,7 +28,7 @@ import numpy as np
 
 from .construct import two_adic_valuation
 from .flipcore import SignFlipSubgroup, bits_to_masks, masks_to_bits, subgroup_from_basis_masks
-from .leak import Direction, leak_summary
+from .leak import Direction, _general_leaks
 
 #: above this dimension enumeration will not finish at desk scale
 ENUMERATION_GUARD_N = 12
@@ -154,19 +154,19 @@ def _decode_tail(flat: int, tail_lists: list[list[int]]) -> list[int]:
     return rows[::-1]
 
 
-def _census_pivot_set(args):
-    """Worker: distinct popcount-multiset keys for one pivot set.
+def _census_pivot_set(table, args):
+    """Worker: distinct leak-multiset keys for one pivot set.
 
+    ``table`` maps every mask to an integer code of its leak; a key is
+    the sorted row of the codes of a subgroup's elements.
     Returns (subgroup_count, {key_bytes: basis_masks_of_first_rep}).
     """
     n, pivots = args
-    pop = np.array([bin(i).count("1") for i in range(1 << n)], dtype=np.int8)
     found: dict[bytes, tuple[int, ...]] = {}
     total = 0
     for head, tail_lists, elements in _pivotset_batches(n, pivots):
         total += elements.shape[0]
-        counts = np.sort(pop[elements], axis=1)
-        keys, first = np.unique(counts, axis=0, return_index=True)
+        keys, first = np.unique(np.sort(table[elements], axis=1), axis=0, return_index=True)
         for key_row, idx in zip(keys, first):
             key = key_row.tobytes()
             if key not in found:
@@ -231,15 +231,28 @@ def leak_census(
 ) -> LeakCensusReport:
     """Group all subgroups (of one rank, or all ranks) by leak distribution.
 
-    For the uniform direction the grouping key is the exact sorted integer
-    multiset of scaled leak values; for a general direction values are
-    compared after rounding at 1e-10.
+    The grouping key is the sorted multiset of a subgroup's scaled leaks
+    n iota'S iota, compared after rounding at 1e-10; for the uniform
+    direction these are the exact integers n - 2 * popcount. Each
+    representative's ``scaled_distribution`` is listed in descending
+    order for the uniform direction and ascending order otherwise.
     """
     _check_guard(n, allow_large)
     ranks = [rank] if rank is not None else list(range(n + 1))
     if rank is not None and not 0 <= rank <= n:
         raise ValueError(f"rank {rank} outside [0, {n}]")
     uniform = iota is None or iota.is_uniform
+    masks = np.arange(1 << n)[:, None]
+    if uniform:
+        # flip counts: the scaled leak is n - 2 * count
+        table = masks_to_bits(masks, n).sum(axis=1, dtype=np.int8)
+    else:
+        # + 0.0 turns the -0.0 that rounding leaves of a tiny negative leak into 0.0
+        leaks = np.round(n * np.array(_general_leaks(masks, iota)), 10) + 0.0
+        # small integer codes in the order of the leaks keep the key table narrow
+        values, table = np.unique(leaks, return_inverse=True)
+        table = table.astype(np.min_scalar_type(len(values) - 1))
+    worker = partial(_census_pivot_set, table)
 
     subgroup_counts: dict[int, int] = {}
     distinct_counts: dict[int, int] = {}
@@ -254,45 +267,24 @@ def leak_census(
                     {"rank": 0, "scaled_distribution": [n], "basis_masks": []}
                 )
             continue
-        if uniform:
-            total = 0
-            found: dict[bytes, tuple[int, ...]] = {}
-            for sub_total, sub_found in _map_pivot_sets(_census_pivot_set, n, p):
-                total += sub_total
-                for key, basis in sub_found.items():
-                    found.setdefault(key, basis)
-            subgroup_counts[p] = total
-            distinct_counts[p] = len(found)
-            if with_representatives:
-                for key, basis in sorted(found.items()):
-                    pops = np.frombuffer(key, dtype=np.int8)
-                    scaled = sorted((n - 2 * int(c) for c in pops), reverse=True)
-                    representatives.append(
-                        {
-                            "rank": p,
-                            "scaled_distribution": scaled,
-                            "basis_masks": list(basis),
-                        }
-                    )
-        else:
-            total = 0
-            found_g: dict[tuple, SignFlipSubgroup] = {}
-            for s in enumerate_subgroups(n, p, allow_large=allow_large):
-                total += 1
-                summ = leak_summary(s, iota)
-                key = tuple(np.round(sorted(summ.scaled_distribution), 10))
-                found_g.setdefault(key, s)
-            subgroup_counts[p] = total
-            distinct_counts[p] = len(found_g)
-            if with_representatives:
-                for key, s in sorted(found_g.items()):
-                    representatives.append(
-                        {
-                            "rank": p,
-                            "scaled_distribution": list(key),
-                            "basis_masks": [b.mask for b in s.basis],
-                        }
-                    )
+        total = 0
+        found: dict[bytes, tuple[int, ...]] = {}
+        for sub_total, sub_found in _map_pivot_sets(worker, n, p):
+            total += sub_total
+            for key, basis in sub_found.items():
+                found.setdefault(key, basis)
+        subgroup_counts[p] = total
+        distinct_counts[p] = len(found)
+        if with_representatives:
+            keys = [np.frombuffer(key, dtype=table.dtype).tolist() for key in found]
+            for codes, basis in sorted(zip(keys, found.values())):
+                if uniform:
+                    scaled = sorted((n - 2 * c for c in codes), reverse=True)
+                else:
+                    scaled = values[codes].tolist()
+                representatives.append(
+                    {"rank": p, "scaled_distribution": scaled, "basis_masks": list(basis)}
+                )
 
     return LeakCensusReport(
         n=n,

@@ -32,6 +32,10 @@ from .flipcore import (
 from .leak import Direction, MatrixRepresentation, matrix_representation
 
 
+#: candidates scored, or sparse sample rows drawn, per numpy batch
+_CHUNK = 1 << 13
+
+
 class InfeasibleOrderError(ValueError):
     """The requested subgroup order cannot be achieved."""
 
@@ -85,8 +89,11 @@ def greedy_near_oracle(
     without replacement from the complement of the current subgroup,
     scores the doubled subgroup each would produce, and keeps an argmin of
     the objective ("delta" or "delta_abs", on the uniform direction). Ties
-    are broken by the lexicographically smallest sorted element list, so
-    the result is deterministic given the seed.
+    are broken by the lexicographically smallest sorted element list of
+    the doubled subgroup, so the result is deterministic given the seed.
+    That is the candidate r whose coset r S holds the smallest mask, since
+    both lists contain S and distinct cosets are disjoint; candidates of
+    one coset give the same subgroup, and the earliest drawn is kept.
     """
     if objective not in ("delta", "delta_abs"):
         raise ValueError(f"unknown objective {objective!r}")
@@ -107,61 +114,52 @@ def greedy_near_oracle(
     s = init
     while s.order < target_order:
         elems = s.element_masks()
-        elem_set = set(elems)
         # scaled leak values are exact integers n - 2*popcount on the n axis
         cur_max = max((n - 2 * e.bit_count() for e in elems[1:]), default=-n - 1)
         cur_min = min((n - 2 * e.bit_count() for e in elems[1:]), default=n + 1)
+        e_bits = masks_to_bits(elems, n).astype(float)
+        e_flips = e_bits.sum(axis=1)
 
-        total_outside = (1 << n) - s.order
-        budget = min(candidate_budget, total_outside)
-        candidates = _sample_masks_outside(rng, n, elem_set, budget)
-
-        best = None  # (objective value, candidate mask, sorted new elements)
-        for r in candidates:
-            new_vals = [n - 2 * (r ^ e).bit_count() for e in elems]
-            hi = max(cur_max, max(new_vals))
+        budget = min(candidate_budget, (1 << n) - s.order)
+        candidates = _sample_masks_outside(rng, n, set(elems), budget)
+        scores = np.empty(len(candidates))
+        for lo in range(0, len(candidates), _CHUNK):
+            r_bits = masks_to_bits(candidates[lo : lo + _CHUNK], n).astype(float)
+            # r ^ e flips |r| + |e| - 2<r, e> coordinates; the product is exact
+            flips = r_bits.sum(axis=1)[:, None] + e_flips - 2.0 * (r_bits @ e_bits.T)
+            new_vals = n - 2.0 * flips
+            hi = np.maximum(new_vals.max(axis=1), cur_max)
             if objective == "delta":
-                score = hi
+                scores[lo : lo + _CHUNK] = hi
             else:
-                lo = min(cur_min, min(new_vals))
-                score = max(hi, -lo)
-            if best is None or score < best[0]:
-                best = (score, r, None)
-            elif score == best[0]:
-                # tie-break on the sorted element list of the doubled subgroup
-                key_new = _extended_key(elems, r)
-                key_best = best[2] if best[2] is not None else _extended_key(elems, best[1])
-                if key_new < key_best:
-                    best = (score, r, key_new)
-                else:
-                    best = (best[0], best[1], key_best)
-        s = extend(s, SignFlipElement(n, int(best[1])))
+                scores[lo : lo + _CHUNK] = np.maximum(hi, -np.minimum(new_vals.min(axis=1), cur_min))
+        tied = [candidates[i] for i in np.flatnonzero(scores == scores.min())]
+        best = min(tied, key=lambda r: min(r ^ e for e in elems))
+        s = extend(s, SignFlipElement(n, best))
     return s
-
-
-def _extended_key(elems: list[int], r: int) -> tuple[int, ...]:
-    return tuple(sorted(elems + [r ^ e for e in elems]))
 
 
 def _sample_masks_outside(rng: np.random.Generator, n: int, exclude: set[int], count: int) -> list[int]:
     """Uniform sample without replacement from all n-bit masks not in ``exclude``."""
     universe = 1 << n
     if universe <= 1 << 22:
-        pool = np.setdiff1d(np.arange(universe, dtype=np.int64), np.fromiter(exclude, dtype=np.int64))
-        picked = rng.choice(pool, size=min(count, len(pool)), replace=False)
-        return [int(v) for v in picked]
-    # sparse regime: rejection sampling with a seen-set
-    seen: set[int] = set()
+        keep = np.ones(universe, dtype=bool)
+        keep[list(exclude)] = False
+        pool = np.flatnonzero(keep)
+        return rng.choice(pool, size=min(count, len(pool)), replace=False).tolist()
+    # sparse regime: rejection sampling in batches of ``count`` rows; each batch
+    # is drawn in full, chunk by chunk, which leaves the same stream as one draw
+    seen = set(exclude)
     out: list[int] = []
     while len(out) < count:
-        words = rng.integers(0, 2, size=(count, n), dtype=np.int64)
-        for m in bits_to_masks(words):
-            if m in exclude or m in seen:
-                continue
-            seen.add(m)
-            out.append(m)
-            if len(out) == count:
-                break
+        for lo in range(0, count, _CHUNK):
+            rows = rng.integers(0, 2, size=(min(_CHUNK, count - lo), n), dtype=np.int64)
+            for m in bits_to_masks(rows) if len(out) < count else ():
+                if m not in seen:
+                    seen.add(m)
+                    out.append(m)
+                    if len(out) == count:
+                        break
     return out
 
 

@@ -231,9 +231,8 @@ def is_subgroup(elements: Sequence[SignFlipElement]) -> bool:
     if len(dims) > 1:
         raise DimensionMismatchError(f"elements mix dimensions {sorted(dims)}")
     masks = {e.mask for e in elements}
-    if 0 not in masks:
-        return False
-    return all(a ^ b in masks for a in masks for b in masks)
+    # the set lies in its span, which has 2^rank elements, so equal sizes mean set == span
+    return len(masks) == 1 << len(_rref_basis(masks))
 
 
 def full_group(n: int) -> SignFlipSubgroup:

@@ -165,8 +165,7 @@ def _rejects_for(
         return _t_rejects(X, iota.coords, alpha, side)
     if test_id.startswith("mc-"):
         counts, _obs = exceed_counts(
-            test_id, X, "one" if test_id == "mc-z" else side, iota=iota.coords, M=M,
-            replacement=mc_mode, sigma=sigma, rng=rng,
+            test_id, X, side, iota=iota.coords, M=M, replacement=mc_mode, sigma=sigma, rng=rng
         )
         return counts / M <= alpha
     cols = _resolve_columns(test_id, X.shape[1], M, iota, subgroup_reps)

@@ -104,17 +104,51 @@ def test_leak_census_counts_match_brute_force_on_general_direction():
     assert report.distinct_counts[2] == len(keys)
 
 
+def _census_by_subgroup(n, iota):
+    """Reference census report: every subgroup's leak summary, keyed by its rounded sorted distribution."""
+    subgroup_counts, distinct_counts, representatives = {}, {}, []
+    for p in range(n + 1):
+        found = {}
+        for s in enumerate_subgroups(n, p):
+            subgroup_counts[p] = subgroup_counts.get(p, 0) + 1
+            key = tuple(np.round(sorted(leak_summary(s, iota).scaled_distribution), 10)) if p else (n,)
+            found.setdefault(key, s)
+        distinct_counts[p] = len(found)
+        for key, s in sorted(found.items()):
+            representatives.append(
+                {"rank": p, "scaled_distribution": list(key), "basis_masks": [b.mask for b in s.basis]}
+            )
+    return {
+        "n": n,
+        "uniform_iota": False,
+        "subgroup_counts": {str(k): v for k, v in subgroup_counts.items()},
+        "distinct_counts": {str(k): v for k, v in distinct_counts.items()},
+        "total_subgroups": sum(subgroup_counts.values()),
+        "total_distinct": sum(distinct_counts.values()),
+        "representatives": representatives,
+    }
+
+
+def test_leak_census_general_direction_matches_per_subgroup_reference():
+    # distributions compare as numbers: a zero leak may be 0.0 or -0.0 in the reference
+    for n in range(1, 7):
+        for v in (np.arange(1, n + 1), [3.0] + [1.0] * (n - 1), np.random.default_rng(n).standard_normal(n)):
+            iota = Direction.from_vector(v, normalize=True)
+            if not iota.is_uniform:
+                assert leak_census(n, iota=iota).to_dict() == _census_by_subgroup(n, iota), (n, v)
+
+
 def test_leak_census_parallel_matches_serial():
-    serial = leak_census(6, with_representatives=False)
+    general = Direction.from_vector([3.0, 2.0, 2.0, 1.0, 1.0, 1.0], normalize=True)
+    serial = [leak_census(6).to_dict(), leak_census(6, iota=general).to_dict()]
     serial_orbits = orbit_counts(6)
     os.environ["NOS_THREADS"] = "4"
     try:
-        parallel = leak_census(6, with_representatives=False)
+        parallel = [leak_census(6).to_dict(), leak_census(6, iota=general).to_dict()]
         parallel_orbits = orbit_counts(6)
     finally:
         del os.environ["NOS_THREADS"]
-    assert serial.subgroup_counts == parallel.subgroup_counts
-    assert serial.distinct_counts == parallel.distinct_counts
+    assert serial == parallel
     assert serial_orbits == parallel_orbits
 
 

@@ -12,7 +12,7 @@ from nos.construct import (
     two_adic_valuation,
     two_sample_oracle,
 )
-from nos.flipcore import subgroup_from_basis_masks
+from nos.flipcore import SignFlipElement, bits_to_masks, extend, span, subgroup_from_basis_masks
 from nos.leak import Direction, leak_summary
 
 
@@ -69,6 +69,54 @@ def test_greedy_objective_delta_allows_negative_leak():
     s = greedy_near_oracle(6, 8, objective="delta", seed=3)
     summ = leak_summary(s)
     assert summ.delta <= summ.delta_abs
+
+
+def _greedy_by_loop(n, target_order, objective="delta_abs", init=None, candidate_budget=100_000, seed=None):
+    """Reference greedy search: one candidate at a time, ties by the full sorted element list.
+
+    Candidates come from one (budget x n) draw per sparse batch and, for
+    n <= 22, from the complement of the sorted element list.
+    """
+    rng = np.random.default_rng(seed)
+    if init is None:
+        init = oracle_signflip(n, min(two_adic_valuation(n), target_order.bit_length() - 1))
+    s = init
+    while s.order < target_order:
+        elems = s.element_masks()
+        cur_max = max((n - 2 * e.bit_count() for e in elems[1:]), default=-n - 1)
+        cur_min = min((n - 2 * e.bit_count() for e in elems[1:]), default=n + 1)
+        count = min(candidate_budget, (1 << n) - s.order)
+        if n <= 22:
+            pool = np.delete(np.arange(1 << n), elems)
+            candidates = [int(v) for v in rng.choice(pool, size=min(count, len(pool)), replace=False)]
+        else:
+            candidates, seen = [], set(elems)
+            while len(candidates) < count:
+                for m in bits_to_masks(rng.integers(0, 2, size=(count, n), dtype=np.int64)):
+                    if m not in seen and len(candidates) < count:
+                        seen.add(m)
+                        candidates.append(m)
+        best = None
+        for r in candidates:
+            new_vals = [n - 2 * (r ^ e).bit_count() for e in elems]
+            hi = max(cur_max, max(new_vals))
+            score = hi if objective == "delta" else max(hi, -min(cur_min, min(new_vals)))
+            key = sorted(elems + [r ^ e for e in elems])
+            if best is None or (score, key) < best[:2]:
+                best = (score, key, r)
+        s = extend(s, SignFlipElement(n, best[2]))
+    return s
+
+
+@pytest.mark.parametrize("n", list(range(2, 11)) + [20, 24, 32, 70, 130])
+def test_greedy_matches_scalar_reference(n):
+    for objective in ("delta", "delta_abs"):
+        for init in (None, span([], n=n)):
+            for budget in (3, 100_000 if n <= 10 else 10_000):
+                for target in sorted({min(1 << n, t) for t in (2, 8, 32)}):
+                    kw = dict(objective=objective, init=init, candidate_budget=budget, seed=n)
+                    expected = _greedy_by_loop(n, target, **kw)
+                    assert greedy_near_oracle(n, target, **kw) == expected, (objective, init, budget, target)
 
 
 def test_greedy_validation():

@@ -98,6 +98,17 @@ def test_is_subgroup():
     assert not is_subgroup([SignFlipElement(2, m) for m in (0, 1, 2)])  # not closed
 
 
+def test_is_subgroup_matches_pairwise_closure():
+    # every subset of the 3-bit masks, once as a set and once with its first element repeated
+    for subset in range(1 << 8):
+        masks = [m for m in range(8) if subset >> m & 1]
+        if not masks:
+            continue
+        closed = 0 in masks and all(a ^ b in masks for a in masks for b in masks)
+        for listed in (masks, masks + masks[:1]):
+            assert is_subgroup([SignFlipElement(3, m) for m in listed]) == closed, listed
+
+
 def test_full_group():
     g = full_group(3)
     assert g.order == 8 and g.rank == 3

@@ -73,6 +73,16 @@ def test_size_audit_mc_signflip_draws_many_distinct_patterns():
     assert abs(rate - 1 / 16) <= 5 * np.sqrt(1 / 16 * 15 / 16 / 256)
 
 
+def test_power_table_two_sided_mc_z_is_symmetric():
+    # a two-sided test has equal power at -mu and +mu; mc-z used to run one-sided here
+    cfg = SimConfig(
+        n=16, mu_grid=(-1.0, 1.0), M_values=(16,), tests=("mc-z",),
+        replications=REPS, alpha=1 / 16, seed=3,
+    )
+    low, high = power_table(cfg, side="two").cells
+    assert abs(low["power"] - high["power"]) <= 5 * np.hypot(low["se"], high["se"])
+
+
 def test_consistency_probe_null_never_all_rejects():
     rep = _oracle_rep(8)
     out = consistency_probe(rep, 0.0, 2000, seed=1)
