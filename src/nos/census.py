@@ -10,6 +10,10 @@ direction), which collapses the subgroup count dramatically. The orbit
 count classifies the same subgroups up to permutation of the coordinates
 instead, by Burnside's lemma over the cycle types of S_n.
 
+For the uniform direction the leak multiset is the weight distribution,
+so a subgroup's key is one int64 (its weight enumerator at 2^p + 1), and
+MacWilliams duality derives ranks above n // 2 from those below.
+
 The heavy path is vectorized with numpy per pivot set; NOS_THREADS > 1
 additionally fans pivot sets out over a process pool.
 """
@@ -27,12 +31,15 @@ from typing import Iterator
 import numpy as np
 
 from .construct import two_adic_valuation
-from .flipcore import SignFlipSubgroup, bits_to_masks, masks_to_bits, subgroup_from_basis_masks
+from .flipcore import (
+    SignFlipSubgroup, _enumerate_span, _rref_basis, bits_to_masks, masks_to_bits, subgroup_from_basis_masks
+)
 from .leak import Direction, _general_leaks
 
 #: above this dimension enumeration will not finish at desk scale
 ENUMERATION_GUARD_N = 12
 _CHUNK_ROWS = 1 << 20
+_KEY_ROWS = 1 << 14  # subgroups per key slice, which bounds the key temporaries
 
 
 class EnumerationGuardError(ValueError):
@@ -96,13 +103,6 @@ def enumerate_subgroups(n: int, p: int, allow_large: bool = False) -> Iterator[S
             yield subgroup_from_basis_masks(n, list(rows))
 
 
-def _span_masks(rows: list[int]) -> list[int]:
-    elems = [0]
-    for r in rows:
-        elems += [e ^ r for e in elems]
-    return elems
-
-
 def _pivotset_batches(n: int, pivots: tuple[int, ...]):
     """Yield (head_rows, tail_value_arrays, elements) for one pivot set.
 
@@ -141,7 +141,7 @@ def _pivotset_batches(n: int, pivots: tuple[int, ...]):
         elems_tail = np.concatenate([elems_tail, elems_tail ^ col[:, None]], axis=1)
 
     for head in product(*value_lists[:t]):
-        head_span = np.asarray(_span_masks(list(head)), dtype=dtype)
+        head_span = np.asarray(_enumerate_span(head), dtype=dtype)
         full = (elems_tail[:, :, None] ^ head_span[None, None, :]).reshape(k, -1)
         yield list(head), tail_lists, full
 
@@ -154,11 +154,26 @@ def _decode_tail(flat: int, tail_lists: list[list[int]]) -> list[int]:
     return rows[::-1]
 
 
-def _census_pivot_set(table, args):
-    """Worker: distinct leak-multiset keys for one pivot set.
+def _sorted_row_keys(table, rows):
+    """The sorted leak codes of each subgroup's elements."""
+    return np.sort(table[rows], axis=1)
 
-    ``table`` maps every mask to an integer code of its leak; a key is
-    the sorted row of the codes of a subgroup's elements.
+
+def _enumerator_keys(lut, rows):
+    """Each subgroup's weight enumerator at R, sum of R^wt(e), with lut[e] = R^wt(e)."""
+    return lut[rows].sum(axis=1)
+
+
+def _histogram_keys(flips, rows):
+    """Each subgroup's weight distribution (A_0, ..., A_n)."""
+    return (flips[rows][:, :, None] == np.arange(flips.max() + 1)).sum(axis=1, dtype=np.int32)
+
+
+def _census_pivot_set(key_fn, args):
+    """Worker: distinct keys for one pivot set.
+
+    ``key_fn`` maps element rows to one key (a scalar or a row) per
+    subgroup; equal keys mean equal leak multisets.
     Returns (subgroup_count, {key_bytes: basis_masks_of_first_rep}).
     """
     n, pivots = args
@@ -166,12 +181,23 @@ def _census_pivot_set(table, args):
     total = 0
     for head, tail_lists, elements in _pivotset_batches(n, pivots):
         total += elements.shape[0]
-        keys, first = np.unique(np.sort(table[elements], axis=1), axis=0, return_index=True)
+        keys = np.concatenate([key_fn(elements[i : i + _KEY_ROWS]) for i in range(0, len(elements), _KEY_ROWS)])
+        keys, first = np.unique(keys, axis=0, return_index=True)
         for key_row, idx in zip(keys, first):
             key = key_row.tobytes()
             if key not in found:
                 found[key] = tuple(head + _decode_tail(int(idx), tail_lists))
     return total, found
+
+
+def _dual_basis(n: int, basis) -> list[int]:
+    """Reduced echelon basis of the orthogonal complement of a reduced echelon basis's span.
+
+    Bit f plus the pivots of the rows with bit f is orthogonal to every row, for each non-pivot f.
+    """
+    pivots = [(b & -b).bit_length() - 1 for b in basis]
+    free = [f for f in range(n) if f not in pivots]
+    return _rref_basis((1 << f) | sum(1 << q for q, b in zip(pivots, basis) if b >> f & 1) for f in free)
 
 
 def _pool_size() -> int:
@@ -236,6 +262,17 @@ def leak_census(
     direction these are the exact integers n - 2 * popcount. Each
     representative's ``scaled_distribution`` is listed in descending
     order for the uniform direction and ascending order otherwise.
+
+    For the uniform direction the multiset is the weight distribution
+    (A_0, ..., A_n), and a rank-p key is one int64: the weight enumerator
+    sum_w A_w R^w at R = 2^p + 1, exact while R^(n + 1) <= 2^63 because
+    every A_w <= 2^p < R. That holds for all p <= n // 2 when n <= 11;
+    otherwise the key is the row (A_0, ..., A_n). Only ranks up to n // 2
+    are enumerated: V -> V-perp maps rank p one to one onto rank n - p and
+    V's weight distribution fixes V-perp's (MacWilliams 1963), so rank
+    n - p has G(n, p) subgroups, as many classes as rank p, and the
+    reduced echelon dual bases of rank p's representatives as its own.
+    Other directions have no such duality and enumerate every rank.
     """
     _check_guard(n, allow_large)
     ranks = [rank] if rank is not None else list(range(n + 1))
@@ -246,45 +283,49 @@ def leak_census(
     if uniform:
         # flip counts: the scaled leak is n - 2 * count
         table = masks_to_bits(masks, n).sum(axis=1, dtype=np.int8)
+        enumerated = sorted({min(p, n - p) for p in ranks})
     else:
         # + 0.0 turns the -0.0 that rounding leaves of a tiny negative leak into 0.0
         leaks = np.round(n * np.array(_general_leaks(masks, iota)), 10) + 0.0
         # small integer codes in the order of the leaks keep the key table narrow
         values, table = np.unique(leaks, return_inverse=True)
         table = table.astype(np.min_scalar_type(len(values) - 1))
-    worker = partial(_census_pivot_set, table)
+        enumerated = ranks
+
+    classes: dict[int, tuple[int, list]] = {}  # rank -> (subgroups, first basis of each class)
+    for p in enumerated:
+        radix = (1 << p) + 1  # above every A_w <= 2^p, so the enumerator's digits never carry
+        if not uniform:
+            key_fn = partial(_sorted_row_keys, table)
+        elif radix ** (n + 1) <= 1 << 63:
+            key_fn = partial(_enumerator_keys, radix ** table.astype(np.int64))
+        else:  # only n = 12 at p = 5 and 6 within the guard
+            key_fn = partial(_histogram_keys, table)
+        total = 0
+        found: dict[bytes, tuple[int, ...]] = {}
+        for sub_total, sub_found in _map_pivot_sets(partial(_census_pivot_set, key_fn), n, p):
+            total += sub_total
+            for key, basis in sub_found.items():
+                found.setdefault(key, basis)
+        classes[p] = (total, list(found.values()))
 
     subgroup_counts: dict[int, int] = {}
     distinct_counts: dict[int, int] = {}
     representatives: list[dict] = []
-
     for p in ranks:
-        if p == 0:
-            subgroup_counts[0] = 1
-            distinct_counts[0] = 1
-            if with_representatives:
-                representatives.append(
-                    {"rank": 0, "scaled_distribution": [n], "basis_masks": []}
-                )
-            continue
-        total = 0
-        found: dict[bytes, tuple[int, ...]] = {}
-        for sub_total, sub_found in _map_pivot_sets(worker, n, p):
-            total += sub_total
-            for key, basis in sub_found.items():
-                found.setdefault(key, basis)
-        subgroup_counts[p] = total
-        distinct_counts[p] = len(found)
+        dual = p not in classes
+        total, bases = classes[n - p if dual else p]
+        subgroup_counts[p] = gaussian_binomial(n, p) if dual else total
+        distinct_counts[p] = len(bases)
         if with_representatives:
-            keys = [np.frombuffer(key, dtype=table.dtype).tolist() for key in found]
-            for codes, basis in sorted(zip(keys, found.values())):
+            bases = [_dual_basis(n, b) for b in bases] if dual else bases
+            keys = [sorted(table[_enumerate_span(b)].tolist()) for b in bases]
+            for codes, basis in sorted(zip(keys, bases)):
                 if uniform:
                     scaled = sorted((n - 2 * c for c in codes), reverse=True)
                 else:
-                    scaled = values[codes].tolist()
-                representatives.append(
-                    {"rank": p, "scaled_distribution": scaled, "basis_masks": list(basis)}
-                )
+                    scaled = values[codes].tolist() if p else [n]
+                representatives.append({"rank": p, "scaled_distribution": scaled, "basis_masks": list(basis)})
 
     return LeakCensusReport(
         n=n,

@@ -138,11 +138,10 @@ def _rref_basis(masks: Iterable[int]) -> list[int]:
 
 
 def _enumerate_span(basis_masks: Sequence[int]) -> list[int]:
-    """All XOR combinations of the basis, sorted ascending (identity first)."""
+    """All XOR combinations of the basis; element i is the XOR of the rows at the set bits of i."""
     elems = [0]
     for b in basis_masks:
         elems += [e ^ b for e in elems]
-    elems.sort()
     return elems
 
 
@@ -197,7 +196,7 @@ def span(generators: Sequence[SignFlipElement], n: int | None = None) -> SignFli
     if n is not None and n != dim:
         raise DimensionMismatchError(f"generators have n={dim}, expected {n}")
     basis_masks = _rref_basis(g.mask for g in generators)
-    elems = _enumerate_span(basis_masks)
+    elems = sorted(_enumerate_span(basis_masks))
     return SignFlipSubgroup(
         dim,
         tuple(SignFlipElement(dim, b) for b in basis_masks),

@@ -2,6 +2,7 @@
 
 import os
 from itertools import combinations, islice, permutations
+from math import comb
 
 import numpy as np
 import pytest
@@ -9,7 +10,10 @@ import pytest
 from nos.census import (
     EnumerationGuardError,
     _burnside_count,
+    _enumerator_keys,
+    _histogram_keys,
     _pivotset_batches,
+    _sorted_row_keys,
     count_all_subgroups,
     enumerate_subgroups,
     gaussian_binomial,
@@ -17,7 +21,7 @@ from nos.census import (
     oracle_census,
     orbit_counts,
 )
-from nos.flipcore import is_subgroup
+from nos.flipcore import is_subgroup, subgroup_from_basis_masks
 from nos.leak import Direction, leak_summary
 
 
@@ -150,6 +154,92 @@ def test_leak_census_parallel_matches_serial():
         del os.environ["NOS_THREADS"]
     assert serial == parallel
     assert serial_orbits == parallel_orbits
+
+
+def _flip_counts(n):
+    return np.array([bin(m).count("1") for m in range(1 << n)], dtype=np.int8)
+
+
+def _first_of_class(keys):
+    """For every row, the index of the first row with the same key."""
+    _keys, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+    return first[inverse.reshape(-1)]
+
+
+def test_weight_keys_partition_batches_like_sorted_rows():
+    # same classes and same first-occurrence representatives, batch by batch
+    checked = 0
+    for n in range(1, 9):
+        flips = _flip_counts(n)
+        for p in range(n + 1):
+            radix = (1 << p) + 1
+            lut = radix ** flips.astype(np.int64) if radix ** (n + 1) <= 1 << 63 else None
+            for pivots in combinations(range(n), p):
+                for _head, _tails, elements in _pivotset_batches(n, pivots):
+                    expected = _first_of_class(_sorted_row_keys(flips, elements))
+                    assert np.array_equal(_first_of_class(_histogram_keys(flips, elements)), expected)
+                    if lut is not None:
+                        assert np.array_equal(_first_of_class(_enumerator_keys(lut, elements)), expected)
+                        checked += 1
+    assert checked > 400
+
+
+def test_rank_above_half_is_exact_where_a_naive_enumerator_overflows():
+    # at n = 9, rank 8, 257^10 exceeds 2^63: an int64 enumerator at R = 2^8 + 1 wraps and merges two classes
+    n, p = 9, 8
+    flips = _flip_counts(n)
+    batches = [e for pivots in combinations(range(n), p) for _h, _t, e in _pivotset_batches(n, pivots)]
+    naive = np.concatenate([_enumerator_keys(257 ** flips.astype(np.int64), e) for e in batches])
+    rows = np.concatenate([_sorted_row_keys(flips, e) for e in batches])
+    assert (len(np.unique(naive)), len(np.unique(rows, axis=0))) == (8, 9)
+    assert leak_census(n, rank=p).distinct_counts == {p: 9}
+    assert leak_census(n, with_representatives=False).distinct_counts[p] == 9
+
+
+def _macwilliams(dist, n):
+    """Weight distribution of the dual code: A'_j = sum_i A_i K_j(i) / |C|, K_j the Krawtchouk polynomial."""
+    size = sum(dist)
+    out = []
+    for j in range(n + 1):
+        krawtchouk = [sum((-1) ** s * comb(i, s) * comb(n - i, j - s) for s in range(j + 1)) for i in range(n + 1)]
+        total = sum(a * k for a, k in zip(dist, krawtchouk))
+        assert total % size == 0
+        out.append(total // size)
+    return tuple(out)
+
+
+def test_high_rank_representatives_are_macwilliams_duals():
+    for n in range(1, 9):
+        report = leak_census(n)
+        flips = _flip_counts(n)
+        dists = {p: [] for p in range(n + 1)}
+        for rep in report.representatives:
+            s = subgroup_from_basis_masks(n, rep["basis_masks"])
+            assert s.rank == rep["rank"]
+            if rep["rank"]:
+                assert sorted(leak_summary(s).scaled_distribution, reverse=True) == rep["scaled_distribution"]
+            weights = np.bincount(flips[s.element_masks()], minlength=n + 1)
+            scaled = np.repeat(n - 2 * np.arange(n + 1), weights).tolist()
+            assert rep["scaled_distribution"] == sorted(scaled, reverse=True)
+            dists[rep["rank"]].append(tuple(weights.tolist()))
+        for p in range(n // 2 + 1, n + 1):
+            assert len(set(dists[p])) == len(dists[p]) == report.distinct_counts[p]
+            assert sorted(dists[p]) == sorted(_macwilliams(d, n) for d in dists[n - p]), (n, p)
+            # the derived class count equals a direct enumeration of rank p
+            batches = [e for pv in combinations(range(n), p) for _h, _t, e in _pivotset_batches(n, pv)]
+            rows = [_sorted_row_keys(flips, e) for e in batches]
+            assert len(np.unique(np.concatenate(rows), axis=0)) == report.distinct_counts[p]
+            assert report.subgroup_counts[p] == sum(len(r) for r in rows)
+
+
+def test_leak_census_single_rank_matches_full_report():
+    for n in range(1, 8):
+        full = leak_census(n)
+        for p in range(n + 1):
+            alone = leak_census(n, rank=p)
+            assert alone.subgroup_counts == {p: full.subgroup_counts[p]}
+            assert alone.distinct_counts == {p: full.distinct_counts[p]}
+            assert alone.representatives == [r for r in full.representatives if r["rank"] == p]
 
 
 def test_oracle_census():
