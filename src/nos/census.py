@@ -164,11 +164,6 @@ def _enumerator_keys(lut, rows):
     return lut[rows].sum(axis=1)
 
 
-def _histogram_keys(flips, rows):
-    """Each subgroup's weight distribution (A_0, ..., A_n)."""
-    return (flips[rows][:, :, None] == np.arange(flips.max() + 1)).sum(axis=1, dtype=np.int32)
-
-
 def _census_pivot_set(key_fn, args):
     """Worker: distinct keys for one pivot set.
 
@@ -182,7 +177,7 @@ def _census_pivot_set(key_fn, args):
     for head, tail_lists, elements in _pivotset_batches(n, pivots):
         total += elements.shape[0]
         keys = np.concatenate([key_fn(elements[i : i + _KEY_ROWS]) for i in range(0, len(elements), _KEY_ROWS)])
-        keys, first = np.unique(keys, axis=0, return_index=True)
+        keys, first = np.unique(keys, axis=0 if keys.ndim > 1 else None, return_index=True)
         for key_row, idx in zip(keys, first):
             key = key_row.tobytes()
             if key not in found:
@@ -267,8 +262,9 @@ def leak_census(
     (A_0, ..., A_n), and a rank-p key is one int64: the weight enumerator
     sum_w A_w R^w at R = 2^p + 1, exact while R^(n + 1) <= 2^63 because
     every A_w <= 2^p < R. That holds for all p <= n // 2 when n <= 11;
-    otherwise the key is the row (A_0, ..., A_n). Only ranks up to n // 2
-    are enumerated: V -> V-perp maps rank p one to one onto rank n - p and
+    otherwise the key is the sorted row of flip counts, as the sorted
+    leak codes are for other directions. Only ranks up to n // 2 are
+    enumerated: V -> V-perp maps rank p one to one onto rank n - p and
     V's weight distribution fixes V-perp's (MacWilliams 1963), so rank
     n - p has G(n, p) subgroups, as many classes as rank p, and the
     reduced echelon dual bases of rank p's representatives as its own.
@@ -294,13 +290,10 @@ def leak_census(
 
     classes: dict[int, tuple[int, list]] = {}  # rank -> (subgroups, first basis of each class)
     for p in enumerated:
-        radix = (1 << p) + 1  # above every A_w <= 2^p, so the enumerator's digits never carry
-        if not uniform:
-            key_fn = partial(_sorted_row_keys, table)
-        elif radix ** (n + 1) <= 1 << 63:
+        if uniform and (radix := (1 << p) + 1) ** (n + 1) <= 1 << 63:
             key_fn = partial(_enumerator_keys, radix ** table.astype(np.int64))
-        else:  # only n = 12 at p = 5 and 6 within the guard
-            key_fn = partial(_histogram_keys, table)
+        else:
+            key_fn = partial(_sorted_row_keys, table)
         total = 0
         found: dict[bytes, tuple[int, ...]] = {}
         for sub_total, sub_found in _map_pivot_sets(partial(_census_pivot_set, key_fn), n, p):
