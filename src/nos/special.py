@@ -2,10 +2,9 @@
 
 Regularized incomplete beta via the standard continued fraction (modified
 Lentz evaluation), its inverse via bisection refined by Newton steps, and
-the derived quantities actually used by the tests: the symmetric Beta law
-on [-1, 1] (the distribution of the inner product of a fixed unit vector
-with a uniformly random one), the monotone map pushing it to Student's t,
-and t quantiles.
+the derived quantities actually used by the tests: the CDF and quantile of
+the symmetric Beta law on [-1, 1] (the distribution of the inner product
+of a fixed unit vector with a uniformly random one).
 
 Target accuracies: 1e-12 for CDF values, 1e-10 for quantile round trips.
 """
@@ -137,35 +136,3 @@ def beta_sym_quantile(p: float, n: int) -> float:
         return 0.0
     h = (n - 1) / 2.0
     return 2.0 * betainc_inv_reg(h, h, p) - 1.0
-
-
-def beta_to_t(z: float, n: int) -> float:
-    """The strictly increasing map sending the symmetric Beta law to t_{n-1}."""
-    if n < 2:
-        raise ValueError("need n >= 2")
-    if not -1.0 < z < 1.0:
-        raise ValueError(f"z={z} outside (-1, 1)")
-    return math.sqrt(n - 1) * z / math.sqrt(1.0 - z * z)
-
-
-def t_cdf(t: float, df: int) -> float:
-    """CDF of Student's t with df degrees of freedom."""
-    if df < 1:
-        raise ValueError("need df >= 1")
-    if t == 0.0:
-        return 0.5
-    x = df / (df + t * t)
-    tail = 0.5 * betainc_reg(df / 2.0, 0.5, x)
-    return 1.0 - tail if t > 0 else tail
-
-
-def t_quantile(alpha_upper: float, df: int) -> float:
-    """Upper alpha-quantile of t_df: P(T > q) = alpha_upper."""
-    if not 0.0 < alpha_upper < 1.0:
-        raise ValueError(f"alpha_upper={alpha_upper} outside (0, 1)")
-    if df < 1:
-        raise ValueError("need df >= 1")
-    if alpha_upper == 0.5:
-        return 0.0
-    z = beta_sym_quantile(1.0 - alpha_upper, df + 1)
-    return beta_to_t(z, df + 1)

@@ -10,10 +10,19 @@ observed one. Ties count against rejection, in floating point too: a
 statistic within tau = 2 n eps ||x||_2 below the observed one counts as
 reaching it. That is twice the worst-case rounding error of an n-term
 inner product with a unit column, so an exact tie is never lost to
-rounding and the test is never anti-conservative. The MC z family has no
-data vector and uses tau = 0. The full-orthogonal-group test has a closed
-form through the symmetric Beta law and is equivalent to the one-sample
-t-test.
+rounding and the test is never anti-conservative. The MC sign-flip
+statistic is computed from the 0/1 pattern bits as iota'x - 2 S, with
+S = sum_i bits_i x_i iota_i; a computed k-term inner product is off by at
+most k eps/2 ||x||_2. At a one-sided tie S is exactly 0, so the computed
+statistic misses iota'x by at most (n + 1/2) eps ||x||_2 < tau. At a
+two-sided tie S may instead equal iota'x, which is computed apart, and
+the miss is at most (2n + 2k + 1) eps/2 ||x||_2 for a pattern of k set
+bits, below tau for k < n. The one pattern with k = n, g = -I, is
+replaced by the identity, whose two-sided statistic is the same and exact.
+The MC z family has no data vector and uses tau = 0. The MC orthogonal
+family draws each statistic from the symmetric Beta law, O(M) work per
+dataset. The full-orthogonal-group test has a closed form through the
+same law and is equivalent to the one-sample t-test.
 """
 
 from __future__ import annotations
@@ -136,6 +145,11 @@ def _exceed(stats: np.ndarray, obs: np.ndarray, tau: np.ndarray, side: str) -> n
     return (stats >= (obs - tau)[:, None]).sum(axis=1)
 
 
+def _signflip_stats(bits: np.ndarray, X: np.ndarray, iota: np.ndarray, obs: np.ndarray) -> np.ndarray:
+    """iota'(g x) = iota'x - 2 sum_i bits_i x_i iota_i for each (rows, draws, n) sign pattern g."""
+    return obs[:, None] - 2.0 * np.einsum("cmn,cn->cm", bits, X * iota)
+
+
 def _repeats(words: np.ndarray) -> np.ndarray:
     """Entries of a (rows, draws, words) mask array that are the identity or repeat one earlier in the row."""
     if words.shape[2] == 1:
@@ -229,10 +243,15 @@ def exceed_counts(
                     bits = rng.integers(0, 2, size=(c, M - 1, n), dtype=np.int8)
                 else:
                     bits = distinct_mask_bits(rng, c, M - 1, n)
-                stats = np.einsum("cmn,cn->cm", 1.0 - 2.0 * bits, xc * iota)
+                if side == "two":  # -I has the identity's two-sided statistic (module docstring)
+                    bits[bits.all(axis=2)] = 0
+                stats = _signflip_stats(bits, xc, iota, obs[lo : lo + c])
             elif family == "mc-orthogonal":
-                g = rng.standard_normal((c, M - 1, n))
-                stats = g[:, :, 0] / np.linalg.norm(g, axis=2) * np.linalg.norm(xc, axis=1, keepdims=True)
+                if n > 1:  # (1 + u) / 2 ~ Beta((n-1)/2, (n-1)/2), which has no n = 1 case
+                    u = 2.0 * rng.beta((n - 1) / 2, (n - 1) / 2, (c, M - 1)) - 1.0
+                else:  # u = +-1 with probability 1/2 each
+                    u = np.sign(rng.standard_normal((c, M - 1)))
+                stats = u * np.linalg.norm(xc, axis=1, keepdims=True)
             elif family == "mc-z":
                 stats = sigma * rng.standard_normal((c, M - 1))
             else:
@@ -292,9 +311,12 @@ def mc_signflip_test(
 def mc_orthogonal_test(data: Dataset, M: int, alpha: float, side: str = "one", seed=None) -> TestResult:
     """Monte Carlo test over the full orthogonal group.
 
-    Each draw needs only the image of the statistic: iota'Hx equals the
-    projection of a uniform unit vector on a fixed coordinate, scaled by
-    the data norm, so no n x n matrices are sampled.
+    Each draw needs only the image of the statistic: iota'Hx = u ||x||,
+    where u, the projection of a uniform unit vector on a fixed one, has
+    (1 + u) / 2 ~ Beta((n-1)/2, (n-1)/2), the symmetric Beta law of
+    ``full_orthogonal_test``. So each draw is one Beta variate, and no
+    n x n matrix or n-vector is sampled. At n = 1, u = +-1 with
+    probability 1/2 each.
     """
     _check_side(side)
     _check_alpha(alpha)

@@ -7,15 +7,8 @@ import pytest
 from scipy import special as sp
 from scipy import stats
 
-from nos.special import (
-    beta_sym_cdf,
-    beta_sym_quantile,
-    beta_to_t,
-    betainc_inv_reg,
-    betainc_reg,
-    t_cdf,
-    t_quantile,
-)
+from nos.special import beta_sym_cdf, beta_sym_quantile, betainc_inv_reg, betainc_reg
+from nos.testkit import Dataset, full_orthogonal_test
 
 
 @pytest.mark.parametrize("a,b", [(0.5, 0.5), (1.0, 3.0), (4.5, 4.5), (24.5, 0.5), (10.0, 2.0)])
@@ -57,26 +50,24 @@ def test_beta_sym_quantile_roundtrip():
 
 
 def test_beta_to_t_pushes_law_forward():
-    # F_t(map(z)) must equal F_beta(z): the map transports one law to the other
-    for n in (4, 12, 40):
+    # z -> sqrt(n - 1) z / sqrt(1 - z^2) carries the symmetric Beta law to
+    # t_{n-1}, so F_t(map(z)) must equal F_beta(z)
+    for n in (2, 4, 12, 40):
         for z in (-0.9, -0.3, 0.0, 0.5, 0.95):
-            t = beta_to_t(z, n)
-            assert t_cdf(t, n - 1) == pytest.approx(beta_sym_cdf(z, n), abs=1e-12)
+            t = math.sqrt(n - 1) * z / math.sqrt(1.0 - z * z)
+            assert beta_sym_cdf(z, n) == pytest.approx(float(stats.t.cdf(t, n - 1)), abs=1e-12)
 
 
-def test_beta_to_t_explicit_value():
-    # z = 1/sqrt(2), n = 3: sqrt(2) * z / sqrt(1 - 1/2) = sqrt(2)
-    assert beta_to_t(1.0 / math.sqrt(2.0), 3) == pytest.approx(math.sqrt(2.0), abs=1e-14)
-
-
-def test_t_cdf_matches_scipy():
-    for df in (1, 2, 5, 19, 49):
-        for t in (-8.0, -1.3, 0.0, 0.7, 2.5, 10.0):
-            assert t_cdf(t, df) == pytest.approx(float(stats.t.cdf(t, df)), abs=1e-12)
-
-
-def test_t_quantile_matches_scipy():
-    for df in (2, 7, 30):
-        for alpha in (0.2, 0.1, 0.05, 0.01, 0.001):
-            q = t_quantile(alpha, df)
-            assert q == pytest.approx(float(stats.t.isf(alpha, df)), rel=1e-9, abs=1e-9)
+@pytest.mark.parametrize("n", [2, 3, 5, 12, 40, 101])
+def test_full_orthogonal_p_value_is_the_t_tail(n):
+    # the closed-form orthogonal-group test is the one-sample t-test: its
+    # p-value is the t_{n-1} tail at the textbook sqrt(n) mean / sd
+    rng = np.random.default_rng(n)
+    for shift in (-1.0, 0.0, 0.3, 2.0):
+        x = rng.standard_normal(n) + shift
+        t = math.sqrt(n) * x.mean() / x.std(ddof=1)
+        data = Dataset.from_vector(x)
+        one = full_orthogonal_test(data, alpha=0.05).p_value
+        two = full_orthogonal_test(data, alpha=0.05, side="two").p_value
+        assert one == pytest.approx(float(stats.t.sf(t, n - 1)), abs=1e-12)
+        assert two == pytest.approx(2.0 * float(stats.t.sf(abs(t), n - 1)), abs=1e-12)

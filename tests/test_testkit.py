@@ -11,8 +11,10 @@ from scipy import stats
 from nos.construct import oracle_signflip, two_adic_valuation
 from nos.flipcore import full_group, subgroup_from_basis_masks
 from nos.leak import Direction, matrix_representation
+from nos.special import beta_sym_cdf, beta_sym_quantile
 from nos.testkit import (
     Dataset,
+    _signflip_stats,
     distinct_mask_bits,
     exceed_counts,
     full_orthogonal_test,
@@ -103,6 +105,71 @@ def test_mc_orthogonal_identity_included():
     res = mc_orthogonal_test(x, M=50, alpha=0.05, seed=9)
     assert res.total == 50
     assert res.exceed_count >= 1
+
+
+@pytest.mark.parametrize("n", [2, 3, 10, 33])
+def test_mc_orthogonal_statistics_follow_the_symmetric_beta_law(n):
+    # at ||x|| = 1 a draw's statistic is u, (1 + u) / 2 ~ Beta((n-1)/2, (n-1)/2):
+    # row q sits at iota'x = z_q, so its count less one is #{u >= z_q}
+    probs = np.array([0.05, 0.25, 0.5, 0.75, 0.95])
+    z = np.array([beta_sym_quantile(p, n) for p in probs])
+    iota = Direction.uniform(n).coords
+    w = np.eye(n)[0] - iota[0] * iota
+    w /= np.linalg.norm(w)
+    X = z[:, None] * iota + np.sqrt(1.0 - z * z)[:, None] * w
+    draws = 100_000
+    counts, _obs = exceed_counts("mc-orthogonal", X, iota=iota, M=draws + 1, rng=np.random.default_rng(n))
+    upper = (counts - 1) / draws
+    want = np.array([1.0 - beta_sym_cdf(q, n) for q in z])
+    assert np.allclose(want, 1.0 - probs, atol=1e-10)
+    assert np.all(np.abs(upper - want) <= 5 * np.sqrt(want * (1 - want) / draws))
+
+
+def test_mc_orthogonal_at_n1_draws_plus_or_minus_one():
+    res = mc_orthogonal_test(_dataset([2.5]), M=20, alpha=0.05, seed=0)
+    assert res.total == 20 and 1 <= res.exceed_count <= 20
+    # x = 1 along iota = (1,): a draw's statistic is u itself
+    X = np.ones((50, 1))
+    two, _obs = exceed_counts("mc-orthogonal", X, "two", iota=np.ones(1), M=20, rng=np.random.default_rng(1))
+    one, _obs = exceed_counts("mc-orthogonal", X, "one", iota=np.ones(1), M=20, rng=np.random.default_rng(1))
+    assert np.all(two == 20)  # |u| = 1 for every draw
+    plus = one.sum() - 50  # draws with u = +1
+    assert 0 < plus < 50 * 19
+
+
+@pytest.mark.parametrize("uniform", [True, False])
+def test_mc_signflip_statistic_matches_the_float_sign_cube(uniform):
+    rng = np.random.default_rng(5)
+    n, M = 16, 64
+    iota = Direction.uniform(n) if uniform else Direction.from_vector(rng.standard_normal(n), normalize=True)
+    X = rng.standard_normal((300, n)) * rng.uniform(0.01, 100.0, (300, 1))
+    bits = rng.integers(0, 2, size=(300, M - 1, n), dtype=np.int8)
+    reference = np.einsum("cmn,cn->cm", 1.0 - 2.0 * bits, X * iota.coords)
+    got = _signflip_stats(bits, X, iota.coords, X @ iota.coords)
+    assert np.all(np.abs(got - reference) <= tie_tolerance(X)[:, None])
+
+
+@pytest.mark.parametrize("n,M", [(5, 32), (8, 64), (24, 64)])
+@pytest.mark.parametrize("replacement", ["with", "without"])
+@pytest.mark.parametrize("side", ["one", "two"])
+def test_mc_signflip_counts_are_exact_on_integer_data(n, M, replacement, side):
+    # integer data along the uniform direction: sqrt(n) iota'(g x) is an
+    # integer, so the exact count follows from the same draws in integers
+    X = np.random.default_rng(n).integers(-2, 3, size=(400, n))
+    if replacement == "with":
+        bits = np.random.default_rng(7).integers(0, 2, size=(400, M - 1, n), dtype=np.int8)
+    else:
+        bits = distinct_mask_bits(np.random.default_rng(7), 400, M - 1, n)
+    exact = np.einsum("cmn,cn->cm", 1 - 2 * bits.astype(np.int64), X)
+    obs = X.sum(axis=1)
+    if side == "two":
+        exact, obs = np.abs(exact), np.abs(obs)
+    want = 1 + np.count_nonzero(exact >= obs[:, None], axis=1)
+    got, _obs = exceed_counts(
+        "mc-signflip", X, side, iota=Direction.uniform(n).coords, M=M, replacement=replacement,
+        rng=np.random.default_rng(7),
+    )
+    assert np.array_equal(got, want)
 
 
 def test_full_orthogonal_equals_t_test():
