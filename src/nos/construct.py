@@ -24,10 +24,14 @@ from .flipcore import (
     SignFlipElement,
     SignFlipSubgroup,
     bits_to_masks,
+    bits_to_words,
     extend,
+    mask_keys,
     masks_to_bits,
+    masks_to_words,
     span,
     subgroup_from_basis_masks,
+    words_to_masks,
 )
 from .leak import Direction, MatrixRepresentation, matrix_representation
 
@@ -94,6 +98,11 @@ def greedy_near_oracle(
     That is the candidate r whose coset r S holds the smallest mask, since
     both lists contain S and distinct cosets are disjoint; candidates of
     one coset give the same subgroup, and the earliest drawn is kept.
+
+    Candidates stay packed as ceil(n / 64) 64-bit words from the draw to
+    the score: the doubled subgroup's new elements r ^ e flip
+    popcount(r ^ e) coordinates, so every score is an exact integer, and
+    only the tied candidates become Python ints for the tie-break.
     """
     if objective not in ("delta", "delta_abs"):
         raise ValueError(f"unknown objective {objective!r}")
@@ -114,53 +123,55 @@ def greedy_near_oracle(
     s = init
     while s.order < target_order:
         elems = s.element_masks()
+        e_words = masks_to_words(elems, n)
         # scaled leak values are exact integers n - 2*popcount on the n axis
         cur_max = max((n - 2 * e.bit_count() for e in elems[1:]), default=-n - 1)
         cur_min = min((n - 2 * e.bit_count() for e in elems[1:]), default=n + 1)
-        e_bits = masks_to_bits(elems, n).astype(float)
-        e_flips = e_bits.sum(axis=1)
 
         budget = min(candidate_budget, (1 << n) - s.order)
-        candidates = _sample_masks_outside(rng, n, set(elems), budget)
-        scores = np.empty(len(candidates))
+        candidates = _sample_masks_outside(rng, n, e_words, budget)
+        scores = np.empty(len(candidates), dtype=np.int64)
         for lo in range(0, len(candidates), _CHUNK):
-            r_bits = masks_to_bits(candidates[lo : lo + _CHUNK], n).astype(float)
-            # r ^ e flips |r| + |e| - 2<r, e> coordinates; the product is exact
-            flips = r_bits.sum(axis=1)[:, None] + e_flips - 2.0 * (r_bits @ e_bits.T)
-            new_vals = n - 2.0 * flips
-            hi = np.maximum(new_vals.max(axis=1), cur_max)
-            if objective == "delta":
-                scores[lo : lo + _CHUNK] = hi
-            else:
-                scores[lo : lo + _CHUNK] = np.maximum(hi, -np.minimum(new_vals.min(axis=1), cur_min))
-        tied = [candidates[i] for i in np.flatnonzero(scores == scores.min())]
+            r = candidates[lo : lo + _CHUNK, None, :]
+            flips = np.bitwise_count(r ^ e_words).sum(axis=2, dtype=np.int64)
+            hi = np.maximum(n - 2 * flips.min(axis=1), cur_max)
+            if objective == "delta_abs":
+                hi = np.maximum(hi, np.maximum(2 * flips.max(axis=1) - n, -cur_min))
+            scores[lo : lo + _CHUNK] = hi
+        tied = words_to_masks(candidates[scores == scores.min()])
         best = min(tied, key=lambda r: min(r ^ e for e in elems))
         s = extend(s, SignFlipElement(n, best))
     return s
 
 
-def _sample_masks_outside(rng: np.random.Generator, n: int, exclude: set[int], count: int) -> list[int]:
-    """Uniform sample without replacement from all n-bit masks not in ``exclude``."""
+def _sample_masks_outside(rng: np.random.Generator, n: int, exclude: np.ndarray, count: int) -> np.ndarray:
+    """Uniform sample without replacement from all n-bit masks not in ``exclude``.
+
+    ``exclude`` and the result hold one mask per row as little-endian 64-bit
+    words (``masks_to_words``); the result is in draw order.
+    """
     universe = 1 << n
     if universe <= 1 << 22:
         keep = np.ones(universe, dtype=bool)
-        keep[list(exclude)] = False
+        keep[exclude[:, 0].astype(np.intp)] = False
         pool = np.flatnonzero(keep)
-        return rng.choice(pool, size=min(count, len(pool)), replace=False).tolist()
+        return rng.choice(pool, size=min(count, len(pool)), replace=False).astype("<u8")[:, None]
     # sparse regime: rejection sampling in batches of ``count`` rows; each batch
     # is drawn in full, chunk by chunk, which leaves the same stream as one draw
-    seen = set(exclude)
-    out: list[int] = []
-    while len(out) < count:
+    drawn = [exclude]
+    while True:
         for lo in range(0, count, _CHUNK):
-            rows = rng.integers(0, 2, size=(min(_CHUNK, count - lo), n), dtype=np.int64)
-            for m in bits_to_masks(rows) if len(out) < count else ():
-                if m not in seen:
-                    seen.add(m)
-                    out.append(m)
-                    if len(out) == count:
-                        break
-    return out
+            drawn.append(bits_to_words(rng.integers(0, 2, size=(min(_CHUNK, count - lo), n), dtype=np.int64)))
+        words = np.concatenate(drawn)
+        keys = mask_keys(words)
+        order = np.argsort(keys)
+        srt = keys[order]
+        # first occurrence of each distinct mask; the excluded masks come first
+        first = np.minimum.reduceat(order, np.flatnonzero(np.r_[True, srt[1:] != srt[:-1]]))
+        first = np.sort(first[first >= len(exclude)])
+        if len(first) >= count:
+            return words[first[:count]]
+        drawn = [words]
 
 
 def oracle_orthogonal(n: int, p: int, iota: Direction) -> MatrixRepresentation:

@@ -8,10 +8,13 @@ space; they are kept in a canonical form (reduced echelon basis, elements
 sorted by mask value with the identity first) so that equality of
 subgroups is equality of element lists.
 
-Masks are plain Python integers, which covers any n without a special
-wide-word representation. ``masks_to_bits`` and ``bits_to_masks`` are the
-one codec between masks and per-coordinate bit arrays; everything that
-needs the sign pattern of many masks at once goes through them.
+Masks are plain Python integers, which covers any n. Code that handles
+many masks at once holds them as arrays of ceil(n / 64) little-endian
+64-bit words per mask, or as per-coordinate bit arrays. The functions
+``masks_to_words``, ``words_to_masks``, ``masks_to_bits``, ``bits_to_words``
+and ``bits_to_masks`` are the one codec between the three forms, with
+words as the hub, and ``mask_keys`` gives each word row a 1-D sortable
+key for sorting and deduplication.
 """
 
 from __future__ import annotations
@@ -87,6 +90,32 @@ def compose(a: SignFlipElement, b: SignFlipElement) -> SignFlipElement:
     return SignFlipElement(a.n, a.mask ^ b.mask)
 
 
+def masks_to_words(masks, n: int) -> np.ndarray:
+    """(len, ceil(n / 64)) array of little-endian 64-bit words holding each Python-int mask."""
+    width = 8 * ((n + 63) // 64)
+    buf = b"".join(int(m).to_bytes(width, "little") for m in masks)
+    return np.frombuffer(buf, dtype="<u8").reshape(-1, width // 8)
+
+
+def words_to_masks(words: np.ndarray) -> list[int]:
+    """Inverse of ``masks_to_words`` for a (rows, words) array: one Python int per row."""
+    words = np.ascontiguousarray(words, dtype="<u8")
+    width = 8 * words.shape[-1]
+    buf = words.tobytes()
+    return [int.from_bytes(buf[i : i + width], "little") for i in range(0, len(buf), width)]
+
+
+def mask_keys(words: np.ndarray) -> np.ndarray:
+    """One sortable key per mask of a (..., words) array: the word itself, or the row's bytes.
+
+    Equal keys mean equal masks. Multi-word keys compare as byte strings, so
+    their order is a fixed total order but not the numeric one.
+    """
+    if words.shape[-1] == 1:
+        return words[..., 0]
+    return np.ascontiguousarray(words).view(np.dtype((np.void, 8 * words.shape[-1])))[..., 0]
+
+
 def masks_to_bits(masks, n: int) -> np.ndarray:
     """Bit i of every mask, True where coordinate i is negated.
 
@@ -94,22 +123,24 @@ def masks_to_bits(masks, n: int) -> np.ndarray:
     integer array whose last axis holds each mask as ceil(n / 64)
     little-endian 64-bit words, giving shape ``masks.shape[:-1] + (n,)``.
     """
-    if isinstance(masks, np.ndarray):
-        raw = np.ascontiguousarray(masks, dtype="<u8").view(np.uint8)
-    else:
-        width = (n + 7) // 8
-        buf = b"".join(int(m).to_bytes(width, "little") for m in masks)
-        raw = np.frombuffer(buf, dtype=np.uint8).reshape(-1, width)
+    if not isinstance(masks, np.ndarray):
+        masks = masks_to_words(masks, n)
+    raw = np.ascontiguousarray(masks, dtype="<u8").view(np.uint8)
     return np.unpackbits(raw, axis=-1, count=n, bitorder="little").view(bool)
+
+
+def bits_to_words(bits) -> np.ndarray:
+    """Inverse of ``masks_to_bits`` for a (..., n) array of bits (nonzero = set): (..., ceil(n / 64)) words."""
+    packed = np.packbits(np.asarray(bits, dtype=bool), axis=-1, bitorder="little")
+    pad = -packed.shape[-1] % 8
+    if pad:
+        packed = np.concatenate([packed, np.zeros(packed.shape[:-1] + (pad,), dtype=np.uint8)], axis=-1)
+    return packed.view("<u8")
 
 
 def bits_to_masks(bits) -> list[int]:
     """Inverse of ``masks_to_bits`` for a (rows, n) bit array: one Python int per row."""
-    bits = np.asarray(bits, dtype=bool)
-    packed = np.packbits(bits, axis=-1, bitorder="little")
-    width = packed.shape[-1]
-    buf = packed.tobytes()
-    return [int.from_bytes(buf[i : i + width], "little") for i in range(0, len(buf), width)]
+    return words_to_masks(bits_to_words(bits))
 
 
 def _rref_basis(masks: Iterable[int]) -> list[int]:

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .flipcore import DimensionMismatchError, masks_to_bits
+from .flipcore import DimensionMismatchError, mask_keys, masks_to_bits
 from .leak import Direction, MatrixRepresentation
 from .special import beta_sym_cdf
 
@@ -152,10 +152,7 @@ def _signflip_stats(bits: np.ndarray, X: np.ndarray, iota: np.ndarray, obs: np.n
 
 def _repeats(words: np.ndarray) -> np.ndarray:
     """Entries of a (rows, draws, words) mask array that are the identity or repeat one earlier in the row."""
-    if words.shape[2] == 1:
-        keys = words[..., 0]
-    else:
-        keys = np.ascontiguousarray(words).view(np.dtype((np.void, 8 * words.shape[2])))[..., 0]
+    keys = mask_keys(words)
     order = np.argsort(keys, axis=1, kind="stable")  # equal keys keep their position order
     srt = np.take_along_axis(keys, order, axis=1)
     repeat = np.zeros(keys.shape, dtype=bool)

@@ -5,6 +5,7 @@ import pytest
 
 from nos.construct import (
     InfeasibleOrderError,
+    _sample_masks_outside,
     greedy_near_oracle,
     iota_two_sample,
     oracle_orthogonal,
@@ -12,7 +13,15 @@ from nos.construct import (
     two_adic_valuation,
     two_sample_oracle,
 )
-from nos.flipcore import SignFlipElement, bits_to_masks, extend, span, subgroup_from_basis_masks
+from nos.flipcore import (
+    SignFlipElement,
+    bits_to_masks,
+    extend,
+    masks_to_words,
+    span,
+    subgroup_from_basis_masks,
+    words_to_masks,
+)
 from nos.leak import Direction, leak_summary
 
 
@@ -108,7 +117,7 @@ def _greedy_by_loop(n, target_order, objective="delta_abs", init=None, candidate
     return s
 
 
-@pytest.mark.parametrize("n", list(range(2, 11)) + [20, 24, 32, 70, 130])
+@pytest.mark.parametrize("n", list(range(2, 11)) + [20, 24, 32, 64, 65, 70, 130])
 def test_greedy_matches_scalar_reference(n):
     for objective in ("delta", "delta_abs"):
         for init in (None, span([], n=n)):
@@ -117,6 +126,41 @@ def test_greedy_matches_scalar_reference(n):
                     kw = dict(objective=objective, init=init, candidate_budget=budget, seed=n)
                     expected = _greedy_by_loop(n, target, **kw)
                     assert greedy_near_oracle(n, target, **kw) == expected, (objective, init, budget, target)
+
+
+def _sample_by_set(rng, n, exclude, count):
+    """Reference sampler: masks one Python int at a time, deduplicated through a set."""
+    if n <= 22:
+        pool = np.delete(np.arange(1 << n), sorted(exclude))
+        return [int(v) for v in rng.choice(pool, size=min(count, len(pool)), replace=False)]
+    seen, out = set(exclude), []
+    while len(out) < count:
+        for m in bits_to_masks(rng.integers(0, 2, size=(count, n), dtype=np.int64)):
+            if m not in seen and len(out) < count:
+                seen.add(m)
+                out.append(m)
+    return out
+
+
+@pytest.mark.parametrize(
+    "n,rank,count",
+    [
+        # two batches of three chunks each; 313 of the 40 000 draws fall in S
+        # and 73 repeat an earlier draw
+        (23, 16, 20_000),
+        (12, 5, 3_000),  # dense regime: a pool without S
+    ],
+)
+def test_sampler_matches_set_reference(n, rank, count):
+    gen = np.random.default_rng(n)
+    s = subgroup_from_basis_masks(n, [int(m) for m in gen.integers(1, 1 << n, size=rank)])
+    assert s.rank == rank
+    elems = s.element_masks()
+    rng, ref_rng = np.random.default_rng(7), np.random.default_rng(7)
+    got = _sample_masks_outside(rng, n, masks_to_words(elems, n), count)
+    assert got.shape == (count, 1)
+    assert words_to_masks(got) == _sample_by_set(ref_rng, n, elems, count)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def test_greedy_validation():

@@ -9,6 +9,7 @@ from nos.flipcore import (
     DimensionMismatchError,
     SignFlipElement,
     bits_to_masks,
+    bits_to_words,
     compose,
     element_from_signs,
     extend,
@@ -16,9 +17,11 @@ from nos.flipcore import (
     identity,
     is_subgroup,
     masks_to_bits,
+    masks_to_words,
     negation,
     span,
     subgroup_from_basis_masks,
+    words_to_masks,
 )
 
 
@@ -151,3 +154,6 @@ def test_mask_bit_codec_roundtrip(n, data):
     words = [[(m >> lo) & (2**64 - 1) for lo in range(0, n, 64)] for m in masks]
     words = np.array(words, dtype=np.uint64).reshape(len(masks), (n + 63) // 64)
     assert np.array_equal(masks_to_bits(words, n), bits)
+    assert np.array_equal(masks_to_words(masks, n), words)
+    assert np.array_equal(bits_to_words(bits), words)
+    assert words_to_masks(words) == masks
