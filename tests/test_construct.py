@@ -80,11 +80,24 @@ def test_greedy_objective_delta_allows_negative_leak():
     assert summ.delta <= summ.delta_abs
 
 
+def _sample_by_set(rng, n, exclude, count):
+    """Reference sampler: masks one Python int at a time, deduplicated through a set."""
+    if n <= 22:
+        pool = np.delete(np.arange(1 << n), sorted(exclude))
+        return [int(v) for v in rng.choice(pool, size=min(count, len(pool)), replace=False)]
+    seen, out = set(exclude), []
+    while len(out) < count:
+        for m in bits_to_masks(rng.integers(0, 2, size=(count, n), dtype=np.int64)):
+            if m not in seen and len(out) < count:
+                seen.add(m)
+                out.append(m)
+    return out
+
+
 def _greedy_by_loop(n, target_order, objective="delta_abs", init=None, candidate_budget=100_000, seed=None):
     """Reference greedy search: one candidate at a time, ties by the full sorted element list.
 
-    Candidates come from one (budget x n) draw per sparse batch and, for
-    n <= 22, from the complement of the sorted element list.
+    Candidates come from ``_sample_by_set``.
     """
     rng = np.random.default_rng(seed)
     if init is None:
@@ -94,17 +107,7 @@ def _greedy_by_loop(n, target_order, objective="delta_abs", init=None, candidate
         elems = s.element_masks()
         cur_max = max((n - 2 * e.bit_count() for e in elems[1:]), default=-n - 1)
         cur_min = min((n - 2 * e.bit_count() for e in elems[1:]), default=n + 1)
-        count = min(candidate_budget, (1 << n) - s.order)
-        if n <= 22:
-            pool = np.delete(np.arange(1 << n), elems)
-            candidates = [int(v) for v in rng.choice(pool, size=min(count, len(pool)), replace=False)]
-        else:
-            candidates, seen = [], set(elems)
-            while len(candidates) < count:
-                for m in bits_to_masks(rng.integers(0, 2, size=(count, n), dtype=np.int64)):
-                    if m not in seen and len(candidates) < count:
-                        seen.add(m)
-                        candidates.append(m)
+        candidates = _sample_by_set(rng, n, elems, min(candidate_budget, (1 << n) - s.order))
         best = None
         for r in candidates:
             new_vals = [n - 2 * (r ^ e).bit_count() for e in elems]
@@ -126,20 +129,6 @@ def test_greedy_matches_scalar_reference(n):
                     kw = dict(objective=objective, init=init, candidate_budget=budget, seed=n)
                     expected = _greedy_by_loop(n, target, **kw)
                     assert greedy_near_oracle(n, target, **kw) == expected, (objective, init, budget, target)
-
-
-def _sample_by_set(rng, n, exclude, count):
-    """Reference sampler: masks one Python int at a time, deduplicated through a set."""
-    if n <= 22:
-        pool = np.delete(np.arange(1 << n), sorted(exclude))
-        return [int(v) for v in rng.choice(pool, size=min(count, len(pool)), replace=False)]
-    seen, out = set(exclude), []
-    while len(out) < count:
-        for m in bits_to_masks(rng.integers(0, 2, size=(count, n), dtype=np.int64)):
-            if m not in seen and len(out) < count:
-                seen.add(m)
-                out.append(m)
-    return out
 
 
 @pytest.mark.parametrize(
