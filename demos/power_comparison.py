@@ -8,6 +8,8 @@ benchmark. The subgroup column tracks the MC Z-test column cell by cell,
 while plain MC sign-flipping trails both.
 """
 
+import time
+
 from nos import SimConfig, power_table
 
 config = SimConfig(
@@ -20,7 +22,9 @@ config = SimConfig(
     seed=2024,
 )
 
+t0 = time.perf_counter()
 report = power_table(config)
+wall_clock = time.perf_counter() - t0
 by_test: dict = {}
 for cell in report.cells:
     by_test.setdefault(cell["test"], []).append(cell)
@@ -34,6 +38,6 @@ for test, cells in by_test.items():
 
 se = max(c["se"] for c in report.cells)
 print(f"\n(max MC standard error {se:.4f}; "
-      f"wall clock {report.wall_clock:.1f}s)")
+      f"wall clock {wall_clock:.1f}s)")
 print("Note how oracle-signflip matches mc-z everywhere: a zero-leak subgroup")
 print("turns the data's own noise into the Monte Carlo sample.")

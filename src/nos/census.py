@@ -14,18 +14,17 @@ For the uniform direction the leak multiset is the weight distribution,
 so a subgroup's key is one int64 (its weight enumerator at 2^p + 1), and
 MacWilliams duality derives ranks above n // 2 from those below.
 
-The heavy path is vectorized with numpy per pivot set; NOS_THREADS > 1
-additionally fans pivot sets out over a process pool.
+The heavy path is one serial loop over pivot sets, vectorized with numpy
+over batches of at most _BATCH_ELEMS group elements; a batch's element
+columns 2^j are its subgroups' basis rows.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from itertools import combinations, product
-from math import factorial
+from math import factorial, prod
 from typing import Iterator
 
 import numpy as np
@@ -38,8 +37,7 @@ from .leak import Direction, _general_leaks
 
 #: above this dimension enumeration will not finish at desk scale
 ENUMERATION_GUARD_N = 12
-_CHUNK_ROWS = 1 << 20
-_KEY_ROWS = 1 << 14  # subgroups per key slice, which bounds the key temporaries
+_BATCH_ELEMS = 1 << 20  # group elements per batch, which bounds the batch and its key temporaries
 
 
 class EnumerationGuardError(ValueError):
@@ -104,54 +102,29 @@ def enumerate_subgroups(n: int, p: int, allow_large: bool = False) -> Iterator[S
 
 
 def _pivotset_batches(n: int, pivots: tuple[int, ...]):
-    """Yield (head_rows, tail_value_arrays, elements) for one pivot set.
+    """Yield the element arrays of all subgroups with the given pivots.
 
-    ``elements`` is an int16 array of shape (K, 2^p) holding all group
-    elements of K subgroups; the Cartesian product over free entries is
-    chunked so K stays below _CHUNK_ROWS.
+    Each is an integer array of shape (K, 2^p), one subgroup per row in the
+    order of ``enumerate_subgroups``. Column i is the XOR of the reduced
+    echelon basis rows at the set bits of i, so column 2^j is basis row j.
+    The product over free entries is split so that a batch holds at most
+    _BATCH_ELEMS elements, or one subgroup's 2^p when that is more.
     """
     p = len(pivots)
-    frees = _free_positions(n, pivots)
-    value_lists = [_row_values(q, f) for q, f in zip(pivots, frees)]
-    sizes = [len(v) for v in value_lists]
-
-    # head rows are iterated in Python so the vectorized tail stays bounded
-    t = 0
-    tail_k = 1
-    for s in sizes:
-        tail_k *= s
-    while tail_k > _CHUNK_ROWS:
-        tail_k //= sizes[t]
-        t += 1
-
-    tail_lists = value_lists[t:]
-    tail_sizes = sizes[t:]
-    k = 1
-    for s in tail_sizes:
-        k *= s
-
     dtype = np.int16 if n <= 14 else np.int32
-
-    # tail element table, shared across head choices
-    elems_tail = np.zeros((k, 1), dtype=dtype)
-    reps_after = k
-    for vals, s in zip(tail_lists, tail_sizes):
-        reps_after //= s
-        col = np.tile(np.repeat(np.asarray(vals, dtype=dtype), reps_after), k // (s * reps_after))
-        elems_tail = np.concatenate([elems_tail, elems_tail ^ col[:, None]], axis=1)
-
-    for head in product(*value_lists[:t]):
-        head_span = np.asarray(_enumerate_span(head), dtype=dtype)
-        full = (elems_tail[:, :, None] ^ head_span[None, None, :]).reshape(k, -1)
-        yield list(head), tail_lists, full
-
-
-def _decode_tail(flat: int, tail_lists: list[list[int]]) -> list[int]:
-    rows = []
-    for vals in reversed(tail_lists):
-        rows.append(vals[flat % len(vals)])
-        flat //= len(vals)
-    return rows[::-1]
+    value_lists = [np.array(_row_values(q, f), dtype=dtype) for q, f in zip(pivots, _free_positions(n, pivots))]
+    total = prod(len(vals) for vals in value_lists)
+    step = max(1, _BATCH_ELEMS >> p)
+    for start in range(0, total, step):
+        index = np.arange(start, min(start + step, total))
+        # filled as the transpose, so that each column is one contiguous row
+        columns = np.zeros((1 << p, len(index)), dtype=dtype)
+        stride = total
+        for j, vals in enumerate(value_lists):
+            # basis row j is digit j of the product index, the first digit moving slowest
+            stride //= len(vals)
+            np.bitwise_xor(columns[: 1 << j], vals[index // stride % len(vals)], out=columns[1 << j : 2 << j])
+        yield columns.T
 
 
 def _sorted_row_keys(table, rows):
@@ -160,29 +133,11 @@ def _sorted_row_keys(table, rows):
 
 
 def _enumerator_keys(lut, rows):
-    """Each subgroup's weight enumerator at R, sum of R^wt(e), with lut[e] = R^wt(e)."""
-    return lut[rows].sum(axis=1)
+    """Each subgroup's weight enumerator at R, sum of R^wt(e), with lut[e] = R^wt(e).
 
-
-def _census_pivot_set(key_fn, args):
-    """Worker: distinct keys for one pivot set.
-
-    ``key_fn`` maps element rows to one key (a scalar or a row) per
-    subgroup; equal keys mean equal leak multisets.
-    Returns (subgroup_count, {key_bytes: basis_masks_of_first_rep}).
+    Summed one column at a time, so no (K x 2^p) int64 temporary exists.
     """
-    n, pivots = args
-    found: dict[bytes, tuple[int, ...]] = {}
-    total = 0
-    for head, tail_lists, elements in _pivotset_batches(n, pivots):
-        total += elements.shape[0]
-        keys = np.concatenate([key_fn(elements[i : i + _KEY_ROWS]) for i in range(0, len(elements), _KEY_ROWS)])
-        keys, first = np.unique(keys, axis=0 if keys.ndim > 1 else None, return_index=True)
-        for key_row, idx in zip(keys, first):
-            key = key_row.tobytes()
-            if key not in found:
-                found[key] = tuple(head + _decode_tail(int(idx), tail_lists))
-    return total, found
+    return sum(lut[rows[:, c]] for c in range(rows.shape[1]))
 
 
 def _dual_basis(n: int, basis) -> list[int]:
@@ -193,24 +148,6 @@ def _dual_basis(n: int, basis) -> list[int]:
     pivots = [(b & -b).bit_length() - 1 for b in basis]
     free = [f for f in range(n) if f not in pivots]
     return _rref_basis((1 << f) | sum(1 << q for q, b in zip(pivots, basis) if b >> f & 1) for f in free)
-
-
-def _pool_size() -> int:
-    try:
-        return max(1, int(os.environ.get("NOS_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _map_pivot_sets(worker, n: int, p: int):
-    """Run a per-pivot-set worker over all rank-p pivot sets, possibly in parallel."""
-    tasks = [(n, pivots) for pivots in combinations(range(n), p)]
-    workers = min(_pool_size(), len(tasks))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            yield from pool.map(worker, tasks)
-    else:
-        yield from map(worker, tasks)
 
 
 @dataclass
@@ -294,12 +231,20 @@ def leak_census(
             key_fn = partial(_enumerator_keys, radix ** table.astype(np.int64))
         else:
             key_fn = partial(_sorted_row_keys, table)
+        # equal keys mean equal leak multisets; the first subgroup with a key represents its class
         total = 0
         found: dict[bytes, tuple[int, ...]] = {}
-        for sub_total, sub_found in _map_pivot_sets(partial(_census_pivot_set, key_fn), n, p):
-            total += sub_total
-            for key, basis in sub_found.items():
-                found.setdefault(key, basis)
+        basis_columns = [1 << j for j in range(p)]
+        for pivots in combinations(range(n), p):
+            for elements in _pivotset_batches(n, pivots):
+                total += len(elements)
+                keys = key_fn(elements)
+                keys, first = np.unique(keys, axis=0 if keys.ndim > 1 else None, return_index=True)
+                # one gather for all first rows; one per new key is slower where a batch has many classes
+                for key_row, basis in zip(keys, elements[first][:, basis_columns].tolist()):
+                    key = key_row.tobytes()
+                    if key not in found:
+                        found[key] = tuple(basis)
         classes[p] = (total, list(found.values()))
 
     subgroup_counts: dict[int, int] = {}
@@ -364,8 +309,8 @@ def _cycle_types(n: int) -> tuple[tuple[int, np.ndarray], ...]:
     return tuple(out)
 
 
-def _orbit_pivot_set(args):
-    """Worker: per cycle type, how many subgroups of one pivot set its permutation fixes.
+def _orbit_pivot_set(n: int, pivots: tuple[int, ...]) -> list[int]:
+    """Per cycle type, how many subgroups of one pivot set its permutation fixes.
 
     Element column i of a batch is the XOR of the basis rows at the set
     bits of i, and row j is the only one with a 1 at pivot j, so a mask w
@@ -373,20 +318,19 @@ def _orbit_pivot_set(args):
     A subgroup is fixed by a permutation iff every permuted basis row is
     one of its elements; rows are dropped as soon as one check fails.
     """
-    n, pivots = args
     p = len(pivots)
     pivot_bits = masks_to_bits(np.arange(1 << n)[:, None], n)[:, list(pivots)]
     column_of = np.array(bits_to_masks(pivot_bits), dtype=np.intp)
     fixed = [0] * len(_cycle_types(n))
-    for _head, _tails, elements in _pivotset_batches(n, pivots):
-        k, width = elements.shape
-        flat = elements.ravel()
+    for elements in _pivotset_batches(n, pivots):
+        k = len(elements)
+        flat = elements.T.ravel()  # element (r, c) at c * k + r
         basis = elements[:, [1 << j for j in range(p)]]
         for t, (_centralizer, table) in enumerate(_cycle_types(n)):
             alive = np.arange(k)
             for j in range(p):
                 image = table[basis[alive, j]]
-                alive = alive[flat[alive * width + column_of[image]] == image]
+                alive = alive[flat[column_of[image] * k + alive] == image]
             fixed[t] += len(alive)
     return fixed
 
@@ -428,8 +372,8 @@ def _burnside_count(n: int, p: int) -> int:
     if p in (0, n):
         return 1
     fixed = [0] * len(_cycle_types(n))
-    for sub_fixed in _map_pivot_sets(_orbit_pivot_set, n, p):
-        fixed = [a + b for a, b in zip(fixed, sub_fixed)]
+    for pivots in combinations(range(n), p):
+        fixed = [a + b for a, b in zip(fixed, _orbit_pivot_set(n, pivots))]
     # each cycle type stands for n!/centralizer permutations
     weighted = sum(f * (factorial(n) // c) for f, (c, _t) in zip(fixed, _cycle_types(n)))
     orbits, rest = divmod(weighted, factorial(n))

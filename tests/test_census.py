@@ -1,12 +1,12 @@
 """Counting, enumeration, and the leak census."""
 
-import os
 from itertools import combinations, islice, permutations
 from math import comb
 
 import numpy as np
 import pytest
 
+from nos import census
 from nos.census import (
     EnumerationGuardError,
     _burnside_count,
@@ -141,18 +141,45 @@ def test_leak_census_general_direction_matches_per_subgroup_reference():
                 assert leak_census(n, iota=iota).to_dict() == _census_by_subgroup(n, iota), (n, v)
 
 
-def test_leak_census_parallel_matches_serial():
+def test_batch_splits_change_no_output(monkeypatch):
     general = Direction.from_vector([3.0, 2.0, 2.0, 1.0, 1.0, 1.0], normalize=True)
-    serial = [leak_census(6).to_dict(), leak_census(6, iota=general).to_dict()]
-    serial_orbits = orbit_counts(6)
-    os.environ["NOS_THREADS"] = "4"
-    try:
-        parallel = [leak_census(6).to_dict(), leak_census(6, iota=general).to_dict()]
-        parallel_orbits = orbit_counts(6)
-    finally:
-        del os.environ["NOS_THREADS"]
-    assert serial == parallel
-    assert serial_orbits == parallel_orbits
+
+    def outputs():
+        return [(leak_census(n).to_dict(), orbit_counts(n)) for n in range(1, 7)] + [
+            leak_census(6, iota=general).to_dict()
+        ]
+
+    default = outputs()
+    monkeypatch.setattr(census, "_BATCH_ELEMS", 64)
+    assert len(list(_pivotset_batches(6, (0, 1)))) == 16  # 2^8 subgroups of 4 elements, 16 to a batch
+    assert outputs() == default
+
+
+def test_batches_are_bounded_and_hold_their_bases(monkeypatch):
+    # rows follow enumerate_subgroups; column 2^j is basis row j and column i the XOR of the rows at i's bits
+    for bound in (64, census._BATCH_ELEMS):
+        monkeypatch.setattr(census, "_BATCH_ELEMS", bound)
+        for n in range(1, 7):
+            for p in range(n + 1):
+                batches = []
+                for pivots in combinations(range(n), p):
+                    for elements in _pivotset_batches(n, pivots):
+                        assert elements.size <= max(bound, 1 << p)
+                        bases = elements[:, [1 << j for j in range(p)]]
+                        for j, q in enumerate(pivots):
+                            # pivot bit set, no lower bit, no other pivot bit
+                            others = sum(1 << r for r in pivots) ^ (1 << q)
+                            assert np.all(bases[:, j] & ((2 << q) - 1) == 1 << q)
+                            assert not np.any(bases[:, j] & others)
+                        for i in range(1 << p):
+                            xor = np.zeros(len(elements), dtype=elements.dtype)
+                            for j in range(p):
+                                if i >> j & 1:
+                                    xor ^= bases[:, j]
+                            assert np.array_equal(elements[:, i], xor)
+                        batches.append(elements)
+                reference = [[b.mask for b in s.basis] for s in enumerate_subgroups(n, p)]
+                assert np.concatenate(batches)[:, [1 << j for j in range(p)]].tolist() == reference
 
 
 def _flip_counts(n):
@@ -176,7 +203,7 @@ def test_weight_keys_partition_batches_like_sorted_rows():
                 continue
             lut = radix ** flips.astype(np.int64)
             for pivots in combinations(range(n), p):
-                for _head, _tails, elements in _pivotset_batches(n, pivots):
+                for elements in _pivotset_batches(n, pivots):
                     expected = _first_of_class(_sorted_row_keys(flips, elements))
                     assert np.array_equal(_first_of_class(_enumerator_keys(lut, elements)), expected)
                     checked += 1
@@ -187,7 +214,7 @@ def test_rank_above_half_is_exact_where_a_naive_enumerator_overflows():
     # at n = 9, rank 8, 257^10 exceeds 2^63: an int64 enumerator at R = 2^8 + 1 wraps and merges two classes
     n, p = 9, 8
     flips = _flip_counts(n)
-    batches = [e for pivots in combinations(range(n), p) for _h, _t, e in _pivotset_batches(n, pivots)]
+    batches = [e for pivots in combinations(range(n), p) for e in _pivotset_batches(n, pivots)]
     naive = np.concatenate([_enumerator_keys(257 ** flips.astype(np.int64), e) for e in batches])
     rows = np.concatenate([_sorted_row_keys(flips, e) for e in batches])
     assert (len(np.unique(naive)), len(np.unique(rows, axis=0))) == (8, 9)
@@ -201,7 +228,7 @@ def test_n9_class_counts_match_the_census_of_every_rank():
     assert report.total_distinct == 768
     # rank 7 enumerated directly, independently of rank 2
     flips = _flip_counts(9)
-    rows = [_sorted_row_keys(flips, e) for pv in combinations(range(9), 7) for _h, _t, e in _pivotset_batches(9, pv)]
+    rows = [_sorted_row_keys(flips, e) for pv in combinations(range(9), 7) for e in _pivotset_batches(9, pv)]
     assert len(np.unique(np.concatenate(rows), axis=0)) == report.distinct_counts[7] == 43
 
 
@@ -235,7 +262,7 @@ def test_high_rank_representatives_are_macwilliams_duals():
             assert len(set(dists[p])) == len(dists[p]) == report.distinct_counts[p]
             assert sorted(dists[p]) == sorted(_macwilliams(d, n) for d in dists[n - p]), (n, p)
             # the derived class count equals a direct enumeration of rank p
-            batches = [e for pv in combinations(range(n), p) for _h, _t, e in _pivotset_batches(n, pv)]
+            batches = [e for pv in combinations(range(n), p) for e in _pivotset_batches(n, pv)]
             rows = [_sorted_row_keys(flips, e) for e in batches]
             assert len(np.unique(np.concatenate(rows), axis=0)) == report.distinct_counts[p]
             assert report.subgroup_counts[p] == sum(len(r) for r in rows)
@@ -270,7 +297,7 @@ def _zero_leak_orders_by_scan(n):
         hit = n % 2 == 0 and any(
             np.any(np.all(pop[elements[:, 1:]] == n // 2, axis=1))  # column 0 is the identity
             for pivots in combinations(range(n), p)
-            for _head, _tails, elements in _pivotset_batches(n, pivots)
+            for elements in _pivotset_batches(n, pivots)
         )
         if not hit:
             return orders
