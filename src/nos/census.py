@@ -8,7 +8,9 @@ free entries. The leak census groups subgroups by the exact multiset of
 their n-scaled leak values (integers n - 2*popcount for the uniform
 direction), which collapses the subgroup count dramatically. The orbit
 count classifies the same subgroups up to permutation of the coordinates
-instead, by Burnside's lemma over the cycle types of S_n.
+instead, by Burnside's lemma over the cycle types of S_n; it enumerates
+nothing, because Birkhoff's formula counts the subgroups each permutation
+fixes in closed form.
 
 For the uniform direction the leak multiset is the weight distribution,
 so a subgroup's key is one int64 (its weight enumerator at 2^p + 1), and
@@ -22,16 +24,16 @@ columns 2^j are its subgroups' basis rows.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import partial
 from itertools import combinations, product
-from math import factorial, prod
+from math import factorial, gcd, prod
 from typing import Iterator
 
 import numpy as np
 
 from .construct import two_adic_valuation
 from .flipcore import (
-    SignFlipSubgroup, _enumerate_span, _rref_basis, bits_to_masks, masks_to_bits, subgroup_from_basis_masks
+    SignFlipSubgroup, _enumerate_span, _rref_basis, masks_to_bits, subgroup_from_basis_masks
 )
 from .leak import Direction, _general_leaks
 
@@ -52,8 +54,8 @@ def _check_guard(n: int, allow_large: bool):
         )
 
 
-def gaussian_binomial(n: int, p: int) -> int:
-    """Number of rank-p subgroups in dimension n (2-binomial coefficient), exact."""
+def gaussian_binomial(n: int, p: int, q: int = 2) -> int:
+    """Number of rank-p subgroups in dimension n (q-binomial coefficient at q = 2 by default), exact."""
     if p < 0 or n < 0:
         raise ValueError("n and p must be non-negative")
     if p > n:
@@ -61,8 +63,8 @@ def gaussian_binomial(n: int, p: int) -> int:
     num = 1
     den = 1
     for i in range(p):
-        num *= (1 << (n - i)) - 1
-        den *= (1 << (p - i)) - 1
+        num *= q ** (n - i) - 1
+        den *= q ** (p - i) - 1
     return num // den
 
 
@@ -284,58 +286,51 @@ def _partitions(n: int, largest: int | None = None) -> Iterator[tuple[int, ...]]
             yield (k,) + rest
 
 
-@lru_cache(maxsize=None)
-def _cycle_types(n: int) -> tuple[tuple[int, np.ndarray], ...]:
-    """(centralizer order, mask permutation table) for one permutation per cycle type of S_n.
+def _submodule_poly(lam: list[int], q: int, degree: int) -> np.ndarray:
+    """Submodules of a module of type lam over a DVR with q-element residue field, by F_2-rank.
 
-    The permutation cycles consecutive coordinates; its table maps every
-    n-bit mask to the mask with bit i moved to the image of i.
+    Birkhoff's count of submodules of type mu, in the conjugates lam' and mu',
+    is alpha_lam(mu; q) = prod_i q^(mu'_(i+1) (lam'_i - mu'_i)) [lam'_i - mu'_(i+1), mu'_i - mu'_(i+1)]_q;
+    a submodule of type mu has F_2-rank degree * |mu|.
     """
-    dtype = np.int16 if n <= 14 else np.int32
-    bits = masks_to_bits(np.arange(1 << n)[:, None], n)
-    out = []
-    for parts in _partitions(n):
-        image = []
-        for k in parts:
-            start = len(image)
-            image += [start + (i + 1) % k for i in range(k)]
-        # bit j of the image mask is bit i of the mask, where image[i] = j
-        table = np.array(bits_to_masks(bits[:, np.argsort(image)]), dtype=dtype)
-        centralizer = 1
-        for k in set(parts):
-            m = parts.count(k)
-            centralizer *= k**m * factorial(m)
-        out.append((centralizer, table))
-    return tuple(out)
+    lam_c = [sum(part > i for part in lam) for i in range(max(lam))]
+    poly = np.zeros(degree * sum(lam) + 1, dtype=object)
+    for size in range(sum(lam) + 1):
+        # mu lies inside lam exactly when mu' lies inside lam'
+        for mu_c in _partitions(size, lam_c[0]):
+            if len(mu_c) <= len(lam_c) and all(a <= l for a, l in zip(mu_c, lam_c)):
+                poly[degree * size] += prod(
+                    q ** (b * (l - a)) * gaussian_binomial(l - b, a - b, q)
+                    for l, a, b in zip(lam_c, mu_c, mu_c[1:] + (0,))
+                )
+    return poly
 
 
-def _orbit_pivot_set(n: int, pivots: tuple[int, ...]) -> list[int]:
-    """Per cycle type, how many subgroups of one pivot set its permutation fixes.
+def _fixed_by_cycle_type(parts: tuple[int, ...]) -> np.ndarray:
+    """Subgroups fixed by a permutation with the given cycle lengths, by rank.
 
-    Element column i of a batch is the XOR of the basis rows at the set
-    bits of i, and row j is the only one with a 1 at pivot j, so a mask w
-    can only equal the element whose column index spells w's pivot bits.
-    A subgroup is fixed by a permutation iff every permuted basis row is
-    one of its elements; rows are dropped as soon as one check fails.
+    The permutation makes F_2^n the F_2[x]-module of the F_2[x]/(x^k - 1)
+    over its cycles, and the fixed subgroups are the submodules. With
+    k = 2^a m, m odd, x^k - 1 = (x^m - 1)^(2^a), and for each odd d | m the
+    cyclotomic Phi_d splits into phi(d)/o irreducibles of degree
+    o = ord_d(2). Each of those has a primary part over a DVR with 2^o
+    residues, of type lam_d: one part 2^a for each cycle with d | m. A
+    submodule is one submodule of every primary part.
     """
-    p = len(pivots)
-    pivot_bits = masks_to_bits(np.arange(1 << n)[:, None], n)[:, list(pivots)]
-    column_of = np.array(bits_to_masks(pivot_bits), dtype=np.intp)
-    fixed = [0] * len(_cycle_types(n))
-    for elements in _pivotset_batches(n, pivots):
-        k = len(elements)
-        flat = elements.T.ravel()  # element (r, c) at c * k + r
-        basis = elements[:, [1 << j for j in range(p)]]
-        for t, (_centralizer, table) in enumerate(_cycle_types(n)):
-            alive = np.arange(k)
-            for j in range(p):
-                image = table[basis[alive, j]]
-                alive = alive[flat[column_of[image] * k + alive] == image]
-            fixed[t] += len(alive)
-    return fixed
+    odd = [k >> two_adic_valuation(k) for k in parts]
+    poly = np.ones(1, dtype=object)
+    for d in range(1, max(odd, default=0) + 1, 2):
+        lam = [k // m for k, m in zip(parts, odd) if m % d == 0]
+        if not lam:
+            continue
+        order = next(o for o in range(1, d + 1) if pow(2, o, d) == 1 % d)
+        factor = _submodule_poly(lam, 1 << order, order)
+        for _ in range(sum(gcd(j, d) == 1 for j in range(d)) // order):
+            poly = np.convolve(poly, factor)
+    return poly
 
 
-def orbit_counts(n: int, rank: int | None = None, allow_large: bool = False) -> dict[int, int]:
+def orbit_counts(n: int, rank: int | None = None) -> dict[int, int]:
     """Number of subgroups up to permutation of the coordinates, by rank.
 
     Sign-flip subgroups are the binary linear codes of length n, and this
@@ -343,11 +338,13 @@ def orbit_counts(n: int, rank: int | None = None, allow_large: bool = False) -> 
     extension theorem (1963) two subgroups lie in one class exactly when a
     group isomorphism between them keeps every element's leak, so a class
     is one test up to relabelling the observations. Burnside's lemma over
-    the cycle types of S_n gives the count exactly; a permutation fixes a
-    subgroup iff it fixes its orthogonal complement, so rank p and rank
-    n - p have equally many classes and only ranks up to n // 2 are
-    enumerated. The count applies to the uniform direction, whose leaks
-    are invariant under every coordinate permutation.
+    the cycle types of S_n gives the count exactly, with the subgroups a
+    permutation fixes counted in closed form by Birkhoff's formula for
+    submodules (Birkhoff 1935; L. M. Butler, Mem. AMS 539, 1994). A
+    permutation fixes a subgroup iff it fixes its orthogonal complement,
+    so rank p and rank n - p have equally many classes; the two are
+    computed independently. The count applies to the uniform direction,
+    whose leaks are invariant under every coordinate permutation.
 
     The project summary does not say which count "leak census" means;
     ``leak_census`` counts the coarser distinct leak multisets. Equivalent
@@ -359,29 +356,22 @@ def orbit_counts(n: int, rank: int | None = None, allow_large: bool = False) -> 
     match is the evidence for reading the census figures as orbit counts.
     The totals for n = 4..8 are 16, 32, 68, 148 and 342.
     """
-    _check_guard(n, allow_large)
     if rank is not None and not 0 <= rank <= n:
         raise ValueError(f"rank {rank} outside [0, {n}]")
     ranks = [rank] if rank is not None else list(range(n + 1))
-    by_low_rank = {p: _burnside_count(n, p) for p in {min(r, n - r) for r in ranks}}
-    return {r: by_low_rank[min(r, n - r)] for r in ranks}
-
-
-def _burnside_count(n: int, p: int) -> int:
-    """Orbits of rank-p subgroups under S_n: the average number of fixed subgroups."""
-    if p in (0, n):
-        return 1
-    fixed = [0] * len(_cycle_types(n))
-    for pivots in combinations(range(n), p):
-        fixed = [a + b for a, b in zip(fixed, _orbit_pivot_set(n, pivots))]
-    # each cycle type stands for n!/centralizer permutations
-    weighted = sum(f * (factorial(n) // c) for f, (c, _t) in zip(fixed, _cycle_types(n)))
-    orbits, rest = divmod(weighted, factorial(n))
-    assert rest == 0, "Burnside sum not divisible by n!"
+    weighted = np.zeros(n + 1, dtype=object)
+    for parts in _partitions(n):
+        # each cycle type stands for n!/centralizer permutations
+        centralizer = prod(k ** parts.count(k) * factorial(parts.count(k)) for k in set(parts))
+        weighted += factorial(n) // centralizer * _fixed_by_cycle_type(parts)
+    orbits = {}
+    for p in ranks:
+        orbits[p], rest = divmod(weighted[p], factorial(n))
+        assert rest == 0, "Burnside sum not divisible by n!"
     return orbits
 
 
-def oracle_census(n: int, allow_large: bool = False) -> list[int]:
+def oracle_census(n: int) -> list[int]:
     """Orders of zero-leak subgroups (uniform direction), in closed form.
 
     Zero leak means every non-identity element flips exactly n/2
@@ -390,5 +380,4 @@ def oracle_census(n: int, allow_large: bool = False) -> list[int]:
     code, which exists iff 2^k divides n. The trivial subgroup always
     counts.
     """
-    _check_guard(n, allow_large)
     return [1 << k for k in range(two_adic_valuation(n) + 1)]

@@ -75,6 +75,9 @@ class SimConfig:
             raise ValueError(f"mc_mode must be 'with' or 'without', got {self.mc_mode!r}")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha={self.alpha} outside (0, 1)")
+        for t in self.tests:
+            if t not in _KNOWN_TESTS and not str(t).startswith("subgroup:"):
+                raise ValueError(f"unknown test id {t!r}")
         for M in self.M_values:
             if abs(self.alpha * M - round(self.alpha * M)) > 1e-9:
                 warnings.warn(
@@ -82,9 +85,6 @@ class SimConfig:
                     "are conservative rather than exact at this level",
                     stacklevel=3,  # past the generated __init__, to the caller's line
                 )
-        for t in self.tests:
-            if t not in _KNOWN_TESTS and not str(t).startswith("subgroup:"):
-                raise ValueError(f"unknown test id {t!r}")
 
 
 @dataclass

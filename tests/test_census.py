@@ -9,8 +9,9 @@ import pytest
 from nos import census
 from nos.census import (
     EnumerationGuardError,
-    _burnside_count,
     _enumerator_keys,
+    _fixed_by_cycle_type,
+    _partitions,
     _pivotset_batches,
     _sorted_row_keys,
     count_all_subgroups,
@@ -32,6 +33,16 @@ def test_gaussian_binomial_small_values():
     assert gaussian_binomial(9, 4) == 3309747
     with pytest.raises(ValueError):
         gaussian_binomial(3, 4)
+
+
+def test_gaussian_binomial_q_pascal_rule():
+    # [n, k]_q = [n - 1, k - 1]_q + q^k [n - 1, k]_q
+    for q in (2, 3, 4):
+        for n in range(1, 10):
+            assert gaussian_binomial(n, 0, q) == gaussian_binomial(n, n, q) == 1
+            for k in range(1, n):
+                below = gaussian_binomial(n - 1, k - 1, q) + q**k * gaussian_binomial(n - 1, k, q)
+                assert gaussian_binomial(n, k, q) == below, (q, n, k)
 
 
 def test_gaussian_binomial_symmetry():
@@ -67,8 +78,8 @@ def test_enumeration_guard():
         list(islice(enumerate_subgroups(13, 2), 1))
     with pytest.raises(EnumerationGuardError):
         leak_census(13)
-    with pytest.raises(EnumerationGuardError):
-        orbit_counts(13)
+    counts = orbit_counts(13)  # a closed form, so no guard
+    assert all(counts[p] == counts[13 - p] for p in range(14))
 
 
 def test_leak_census_n4_rank2_has_6_distributions():
@@ -145,9 +156,7 @@ def test_batch_splits_change_no_output(monkeypatch):
     general = Direction.from_vector([3.0, 2.0, 2.0, 1.0, 1.0, 1.0], normalize=True)
 
     def outputs():
-        return [(leak_census(n).to_dict(), orbit_counts(n)) for n in range(1, 7)] + [
-            leak_census(6, iota=general).to_dict()
-        ]
+        return [leak_census(n).to_dict() for n in range(1, 7)] + [leak_census(6, iota=general).to_dict()]
 
     default = outputs()
     monkeypatch.setattr(census, "_BATCH_ELEMS", 64)
@@ -350,13 +359,44 @@ def test_orbit_counts_totals_are_inequivalent_binary_codes():
     assert totals == {4: 16, 5: 32, 6: 68, 7: 148, 8: 342}
 
 
+def test_orbit_counts_match_enumerated_tables():
+    # per-rank counts of the enumerating Burnside count that Birkhoff's formula replaced
+    assert list(orbit_counts(7).values()) == [1, 7, 23, 43, 43, 23, 7, 1]
+    assert list(orbit_counts(8).values()) == [1, 8, 32, 77, 106, 77, 32, 8, 1]
+    assert list(orbit_counts(9).values()) == [1, 9, 43, 131, 240, 240, 131, 43, 9, 1]
+    assert list(orbit_counts(10).values()) == [1, 10, 56, 213, 516, 705, 516, 213, 56, 10, 1]
+
+
+def test_orbit_counts_rank_one_are_weights():
+    # a rank-1 subgroup is one nonzero mask, and masks of equal weight are equivalent
+    for n in range(1, 17):
+        assert orbit_counts(n)[1] == n
+
+
+def test_fixed_subgroups_match_enumeration():
+    for n in range(1, 7):
+        masks = np.arange(1 << n)
+        for parts in _partitions(n):
+            image = []  # the permutation cycles consecutive coordinates
+            for k in parts:
+                image += [len(image) + (i + 1) % k for i in range(k)]
+            table = sum(((masks >> i) & 1) << j for i, j in enumerate(image))
+            fixed = [0] * (n + 1)
+            for p in range(n + 1):
+                for s in enumerate_subgroups(n, p):
+                    elements = s.element_masks()
+                    fixed[p] += set(table[elements].tolist()) == set(elements)
+            assert _fixed_by_cycle_type(parts).tolist() == fixed, parts
+
+
 def test_orbit_counts_dual_ranks_agree():
-    # orbit_counts relies on this duality; enumerate the high ranks directly
-    for n in range(1, 9):
+    # a permutation fixes a subgroup iff it fixes the orthogonal complement;
+    # ranks p and n - p are counted independently, so this is a check
+    for n in range(1, 17):
         counts = orbit_counts(n)
-        for p in range(n + 1):
-            assert _burnside_count(n, p) == counts[n - p]
-            assert orbit_counts(n, rank=p) == {p: counts[p]}
+        assert all(counts[p] == counts[n - p] for p in range(n + 1)), n
+        if n <= 9:
+            assert all(orbit_counts(n, rank=p) == {p: counts[p]} for p in range(n + 1))
     with pytest.raises(ValueError):
         orbit_counts(4, rank=5)
 
