@@ -24,9 +24,8 @@ from .flipcore import (
     SignFlipElement,
     SignFlipSubgroup,
     bits_to_masks,
-    bits_to_words,
+    distinct_masks,
     extend,
-    mask_keys,
     masks_to_bits,
     masks_to_words,
     span,
@@ -36,7 +35,7 @@ from .flipcore import (
 from .leak import Direction, MatrixRepresentation, matrix_representation
 
 
-#: candidates scored, or sparse sample rows drawn, per numpy batch
+#: candidates scored per numpy batch
 _CHUNK = 1 << 13
 
 
@@ -129,7 +128,7 @@ def greedy_near_oracle(
         cur_min = min((n - 2 * e.bit_count() for e in elems[1:]), default=n + 1)
 
         budget = min(candidate_budget, (1 << n) - s.order)
-        candidates = _sample_masks_outside(rng, n, e_words, budget)
+        candidates = distinct_masks(rng, n, 1, budget, e_words)[0]
         scores = np.empty(len(candidates), dtype=np.int64)
         for lo in range(0, len(candidates), _CHUNK):
             r = candidates[lo : lo + _CHUNK, None, :]
@@ -142,36 +141,6 @@ def greedy_near_oracle(
         best = min(tied, key=lambda r: min(r ^ e for e in elems))
         s = extend(s, SignFlipElement(n, best))
     return s
-
-
-def _sample_masks_outside(rng: np.random.Generator, n: int, exclude: np.ndarray, count: int) -> np.ndarray:
-    """Uniform sample without replacement from all n-bit masks not in ``exclude``.
-
-    ``exclude`` and the result hold one mask per row as little-endian 64-bit
-    words (``masks_to_words``); the result is in draw order.
-    """
-    universe = 1 << n
-    if universe <= 1 << 22:
-        keep = np.ones(universe, dtype=bool)
-        keep[exclude[:, 0].astype(np.intp)] = False
-        pool = np.flatnonzero(keep)
-        return rng.choice(pool, size=min(count, len(pool)), replace=False).astype("<u8")[:, None]
-    # sparse regime: rejection sampling in batches of ``count`` rows; each batch
-    # is drawn in full, chunk by chunk, which leaves the same stream as one draw
-    drawn = [exclude]
-    while True:
-        for lo in range(0, count, _CHUNK):
-            drawn.append(bits_to_words(rng.integers(0, 2, size=(min(_CHUNK, count - lo), n), dtype=np.int64)))
-        words = np.concatenate(drawn)
-        keys = mask_keys(words)
-        order = np.argsort(keys)
-        srt = keys[order]
-        # first occurrence of each distinct mask; the excluded masks come first
-        first = np.minimum.reduceat(order, np.flatnonzero(np.r_[True, srt[1:] != srt[:-1]]))
-        first = np.sort(first[first >= len(exclude)])
-        if len(first) >= count:
-            return words[first[:count]]
-        drawn = [words]
 
 
 def oracle_orthogonal(n: int, p: int, iota: Direction) -> MatrixRepresentation:

@@ -14,7 +14,9 @@ many masks at once holds them as arrays of ceil(n / 64) little-endian
 ``masks_to_words``, ``words_to_masks``, ``masks_to_bits``, ``bits_to_words``
 and ``bits_to_masks`` are the one codec between the three forms, with
 words as the hub, and ``mask_keys`` gives each word row a 1-D sortable
-key for sorting and deduplication.
+key for sorting and deduplication. Random masks are drawn in the word form
+by the one sampler, ``random_masks`` (with replacement) and
+``distinct_masks`` (without replacement, outside a set of masks).
 """
 
 from __future__ import annotations
@@ -141,6 +143,58 @@ def bits_to_words(bits) -> np.ndarray:
 def bits_to_masks(bits) -> list[int]:
     """Inverse of ``masks_to_bits`` for a (rows, n) bit array: one Python int per row."""
     return words_to_masks(bits_to_words(bits))
+
+
+def random_masks(rng: np.random.Generator, n: int, shape) -> np.ndarray:
+    """Uniform n-bit masks drawn with replacement: a ``shape + (ceil(n / 64),)`` array of words."""
+    tops = [(1 << min(64, n - lo)) - 1 for lo in range(0, n, 64)]  # largest value of each word
+    high = tops[0] if len(tops) == 1 else np.array(tops, dtype=np.uint64)
+    return rng.integers(0, high, size=tuple(shape) + (len(tops),), dtype=np.uint64, endpoint=True)
+
+
+def _repeats(words: np.ndarray) -> np.ndarray:
+    """Entries of a (rows, draws, words) mask array that repeat an earlier entry of their row."""
+    keys = mask_keys(words)
+    order = np.argsort(keys, axis=1, kind="stable")  # equal keys keep their position order
+    srt = np.take_along_axis(keys, order, axis=1)
+    repeat = np.zeros(keys.shape, dtype=bool)
+    np.put_along_axis(repeat, order[:, 1:], srt[:, 1:] == srt[:, :-1], axis=1)
+    return repeat
+
+
+def distinct_masks(rng: np.random.Generator, n: int, rows: int, draws: int, exclude: np.ndarray) -> np.ndarray:
+    """(rows, draws, ceil(n / 64)) words: per row, ``draws`` distinct masks outside ``exclude``.
+
+    ``exclude`` holds distinct masks as word rows. Each row is a uniform
+    sample without replacement from the other 2^n - len(exclude) masks, in
+    draw order. The excluded masks are written in front of every row, so an
+    excluded draw repeats an earlier entry; entries that repeat one are
+    redrawn, and only those. Which entries they are depends only on the
+    pattern of equalities, which a relabelling of the allowed masks (fixing
+    the excluded ones) leaves unchanged, so the result is uniform. When
+    more than half of the allowed masks are drawn, each row is instead a
+    prefix of a random permutation of them, so no redraw loop runs long.
+    """
+    allowed = (1 << n) - len(exclude)
+    if draws > allowed:
+        raise ValueError(f"cannot draw {draws} distinct masks from the {allowed} allowed in dimension {n}")
+    if 2 * draws > allowed:
+        pool = np.delete(np.arange(1 << n, dtype=np.uint64), exclude[:, 0].astype(np.intp))
+        return rng.permuted(np.tile(pool, (rows, 1)), axis=1)[:, :draws, None]
+    head = len(exclude)
+    words = np.empty((rows, head + draws, exclude.shape[1]), dtype=np.uint64)
+    words[:, :head] = exclude
+    words[:, head:] = random_masks(rng, n, (rows, draws))
+    redo = _repeats(words)
+    live = np.arange(rows)  # rows that may still hold repeats
+    while redo.any():
+        hit = redo.any(axis=1)
+        live, redo = live[hit], redo[hit]
+        sub = words[live]
+        sub[redo] = random_masks(rng, n, (int(redo.sum()),))
+        words[live] = sub
+        redo = _repeats(sub)
+    return words[:, head:]
 
 
 def _rref_basis(masks: Iterable[int]) -> list[int]:

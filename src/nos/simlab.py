@@ -226,32 +226,36 @@ def consistency_probe(
     return {"all_rejected": count == reps, "count": count, "replications": reps}
 
 
+def _sphere_cells(n: int, M: int, rep: MatrixRepresentation, snr_grid, reps: int, seed):
+    """Per snr: the power_curve row, then the subgroup and MC-orthogonal rejection indicators.
+
+    Both tests run on the same sphere-model draws of the snr's cell.
+    """
+    alpha = 1.0 / M
+    for i, snr in enumerate(snr_grid):
+        rng = _cell_rng(seed, i)
+        X = float(snr) * rep.iota + _noise(rng, reps, n, "fixed-norm-sphere", 1.0, 1.0)
+        sub_counts, _obs = exceed_counts("subgroup", X, columns=rep.columns)
+        mc_counts, _obs = exceed_counts("mc-orthogonal", X, iota=rep.iota, M=M, rng=rng)
+        sub_rej, mc_rej = sub_counts / M <= alpha, mc_counts / M <= alpha
+        sub, mc = float(np.mean(sub_rej)), float(np.mean(mc_rej))
+        row = {
+            "snr": float(snr),
+            "subgroup_power": sub,
+            "subgroup_se": _se(sub, reps),
+            "mc_orthogonal_power": mc,
+            "mc_orthogonal_se": _se(mc, reps),
+        }
+        yield row, sub_rej, mc_rej
+
+
 def power_curve(
     n: int, M: int, rep_subgroup: MatrixRepresentation, snr_grid, reps: int, seed=None
 ) -> list:
     """Subgroup-test and MC-orthogonal-test power on the sphere model, per snr."""
     if rep_subgroup.n != n or rep_subgroup.M != M:
         raise ValueError("representation does not match the requested n, M")
-    alpha = 1.0 / M
-    iota = Direction(n, rep_subgroup.iota)
-    rows = []
-    for i, snr in enumerate(snr_grid):
-        rng = _cell_rng(seed, i)
-        X = float(snr) * iota.coords + _noise(rng, reps, n, "fixed-norm-sphere", 1.0, 1.0)
-        sub_counts, _obs = exceed_counts("subgroup", X, columns=rep_subgroup.columns)
-        mc_counts, _obs = exceed_counts("mc-orthogonal", X, iota=iota.coords, M=M, rng=rng)
-        sub = float(np.mean(sub_counts / M <= alpha))
-        mc = float(np.mean(mc_counts / M <= alpha))
-        rows.append(
-            {
-                "snr": float(snr),
-                "subgroup_power": sub,
-                "subgroup_se": _se(sub, reps),
-                "mc_orthogonal_power": mc,
-                "mc_orthogonal_se": _se(mc, reps),
-            }
-        )
-    return rows
+    return [row for row, _sub, _mc in _sphere_cells(n, M, rep_subgroup, snr_grid, reps, seed)]
 
 
 def pvalue_variability(
@@ -325,15 +329,17 @@ def conjecture_probe(n: int, M: int, snr_grid, reps: int, seed=None) -> list:
 
     Exploratory: reports empirical differences with standard errors and
     asserts nothing. The subgroup side uses the zero-leak orthogonal
-    construction, so any order M <= n is available at every n.
+    construction, so any order M <= n is available at every n. Both sides
+    run on the same datasets, so ``difference_se`` is the standard error
+    of the paired per-dataset differences.
     """
     if n < 2:
         raise ValueError("need n >= 2")
     rep = oracle_orthogonal(n, M, Direction.uniform(n))
-    rows = power_curve(n, M, rep, snr_grid, reps, seed=seed)
-    for row in rows:
+    rows = []
+    for row, sub_rej, mc_rej in _sphere_cells(n, M, rep, snr_grid, reps, seed):
+        diff = sub_rej.astype(float) - mc_rej
         row["power_difference"] = row["subgroup_power"] - row["mc_orthogonal_power"]
-        row["difference_se"] = float(
-            np.hypot(row["subgroup_se"], row["mc_orthogonal_se"])
-        )
+        row["difference_se"] = float(np.std(diff) / np.sqrt(reps))
+        rows.append(row)
     return rows

@@ -19,10 +19,13 @@ two-sided tie S may instead equal iota'x, which is computed apart, and
 the miss is at most (2n + 2k + 1) eps/2 ||x||_2 for a pattern of k set
 bits, below tau for k < n. The one pattern with k = n, g = -I, is
 replaced by the identity, whose two-sided statistic is the same and exact.
-The MC z family has no data vector and uses tau = 0. The MC orthogonal
-family draws each statistic from the symmetric Beta law, O(M) work per
-dataset. The full-orthogonal-group test has a closed form through the
-same law and is equivalent to the one-sample t-test.
+The MC sign-flip patterns are drawn as packed mask words by the flipcore
+sampler, ``random_masks`` with replacement or ``distinct_masks`` outside
+the identity without, and unpacked to bits once per chunk. The MC z
+family has no data vector and uses tau = 0. The MC orthogonal family
+draws each statistic from the symmetric Beta law, O(M) work per dataset.
+The full-orthogonal-group test has a closed form through the same law
+and is equivalent to the one-sample t-test.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .flipcore import DimensionMismatchError, mask_keys, masks_to_bits
+from .flipcore import DimensionMismatchError, distinct_masks, masks_to_bits, masks_to_words, random_masks
 from .leak import Direction, MatrixRepresentation
 from .special import beta_sym_cdf
 
@@ -150,53 +153,6 @@ def _signflip_stats(bits: np.ndarray, X: np.ndarray, iota: np.ndarray, obs: np.n
     return obs[:, None] - 2.0 * np.einsum("cmn,cn->cm", bits, X * iota)
 
 
-def _repeats(words: np.ndarray) -> np.ndarray:
-    """Entries of a (rows, draws, words) mask array that are the identity or repeat one earlier in the row."""
-    keys = mask_keys(words)
-    order = np.argsort(keys, axis=1, kind="stable")  # equal keys keep their position order
-    srt = np.take_along_axis(keys, order, axis=1)
-    repeat = np.zeros(keys.shape, dtype=bool)
-    np.put_along_axis(repeat, order[:, 1:], srt[:, 1:] == srt[:, :-1], axis=1)
-    return repeat | ~words.any(axis=2)
-
-
-def distinct_mask_bits(rng: np.random.Generator, rows: int, draws: int, n: int) -> np.ndarray:
-    """(rows, draws, n) bits: per row, ``draws`` distinct non-identity masks, uniform without replacement.
-
-    The identity is excluded because the tests supply it separately. Any n
-    works: a mask is drawn as little-endian 64-bit words. Entries that are
-    the identity or repeat an earlier entry of their row are redrawn, and
-    only those: which entries they are depends only on the pattern of
-    equalities, which relabelling the non-identity masks leaves unchanged,
-    so the result is uniform. When more than half of the 2^n - 1 patterns
-    are drawn, each row is instead a prefix of a random permutation, so no
-    redraw loop runs long.
-    """
-    patterns = (1 << n) - 1
-    if draws > patterns:
-        raise ValueError(f"cannot draw {draws} distinct sign patterns in dimension {n}")
-    if 2 * draws > patterns:
-        perms = rng.permuted(np.tile(np.arange(1, patterns + 1, dtype=np.uint64), (rows, 1)), axis=1)
-        return masks_to_bits(perms[:, :draws, None], n)
-    tops = [(1 << min(64, n - lo)) - 1 for lo in range(0, n, 64)]  # largest value of each word
-    high = tops[0] if len(tops) == 1 else np.array(tops, dtype=np.uint64)
-
-    def draw(count):
-        return rng.integers(0, high, size=(count, len(tops)), dtype=np.uint64, endpoint=True)
-
-    words = draw(rows * draws).reshape(rows, draws, len(tops))
-    redo = _repeats(words)
-    live = np.arange(rows)  # rows that may still hold repeats
-    while redo.any():
-        hit = redo.any(axis=1)
-        live, redo = live[hit], redo[hit]
-        sub = words[live]
-        sub[redo] = draw(int(redo.sum()))
-        words[live] = sub
-        redo = _repeats(sub)
-    return masks_to_bits(words, n)
-
-
 def exceed_counts(
     family: str,
     X,
@@ -237,9 +193,10 @@ def exceed_counts(
             c = len(xc)
             if family == "mc-signflip":
                 if replacement == "with":
-                    bits = rng.integers(0, 2, size=(c, M - 1, n), dtype=np.int8)
+                    words = random_masks(rng, n, (c, M - 1))
                 else:
-                    bits = distinct_mask_bits(rng, c, M - 1, n)
+                    words = distinct_masks(rng, n, c, M - 1, masks_to_words([0], n))
+                bits = masks_to_bits(words, n)
                 if side == "two":  # -I has the identity's two-sided statistic (module docstring)
                     bits[bits.all(axis=2)] = 0
                 stats = _signflip_stats(bits, xc, iota, obs[lo : lo + c])

@@ -5,7 +5,6 @@ import pytest
 
 from nos.construct import (
     InfeasibleOrderError,
-    _sample_masks_outside,
     greedy_near_oracle,
     iota_two_sample,
     oracle_orthogonal,
@@ -15,9 +14,10 @@ from nos.construct import (
 )
 from nos.flipcore import (
     SignFlipElement,
-    bits_to_masks,
+    distinct_masks,
     extend,
     masks_to_words,
+    random_masks,
     span,
     subgroup_from_basis_masks,
     words_to_masks,
@@ -81,17 +81,26 @@ def test_greedy_objective_delta_allows_negative_leak():
 
 
 def _sample_by_set(rng, n, exclude, count):
-    """Reference sampler: masks one Python int at a time, deduplicated through a set."""
-    if n <= 22:
-        pool = np.delete(np.arange(1 << n), sorted(exclude))
-        return [int(v) for v in rng.choice(pool, size=min(count, len(pool)), replace=False)]
-    seen, out = set(exclude), []
-    while len(out) < count:
-        for m in bits_to_masks(rng.integers(0, 2, size=(count, n), dtype=np.int64)):
-            if m not in seen and len(out) < count:
-                seen.add(m)
-                out.append(m)
-    return out
+    """Reference sampler: masks one Python int at a time, deduplicated through a set.
+
+    Draws like ``distinct_masks``: a permutation prefix of the allowed masks
+    when more than half of them are wanted, else ``count`` draws in which
+    every draw that is excluded or already seen is redrawn in place.
+    """
+    if 2 * count > (1 << n) - len(exclude):
+        pool = np.delete(np.arange(1 << n, dtype=np.uint64), sorted(exclude))
+        return [int(v) for v in rng.permuted(pool[None], axis=1)[0, :count]]
+    out = words_to_masks(random_masks(rng, n, (count,)))
+    while True:
+        seen, redo = set(exclude), []
+        for i, m in enumerate(out):
+            if m in seen:
+                redo.append(i)
+            seen.add(m)
+        if not redo:
+            return out
+        for i, m in zip(redo, words_to_masks(random_masks(rng, n, (len(redo),)))):
+            out[i] = m
 
 
 def _greedy_by_loop(n, target_order, objective="delta_abs", init=None, candidate_budget=100_000, seed=None):
@@ -134,10 +143,10 @@ def test_greedy_matches_scalar_reference(n):
 @pytest.mark.parametrize(
     "n,rank,count",
     [
-        # two batches of three chunks each; 313 of the 40 000 draws fall in S
-        # and 73 repeat an earlier draw
+        # redraw path: 149 of the first 20 000 draws fall in S and 28 repeat
+        # an earlier draw; 2 of their redraws fall in S and 1 repeats
         (23, 16, 20_000),
-        (12, 5, 3_000),  # dense regime: a pool without S
+        (12, 5, 3_000),  # permutation path: 3 000 of the 4 064 masks outside S
     ],
 )
 def test_sampler_matches_set_reference(n, rank, count):
@@ -146,7 +155,7 @@ def test_sampler_matches_set_reference(n, rank, count):
     assert s.rank == rank
     elems = s.element_masks()
     rng, ref_rng = np.random.default_rng(7), np.random.default_rng(7)
-    got = _sample_masks_outside(rng, n, masks_to_words(elems, n), count)
+    got = distinct_masks(rng, n, 1, count, masks_to_words(elems, n))[0]
     assert got.shape == (count, 1)
     assert words_to_masks(got) == _sample_by_set(ref_rng, n, elems, count)
     assert rng.bit_generator.state == ref_rng.bit_generator.state

@@ -1,16 +1,20 @@
 """Group algebra of sign-flip elements and subgroups."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nos.construct import greedy_near_oracle
 from nos.flipcore import (
     DimensionMismatchError,
     SignFlipElement,
     bits_to_masks,
     bits_to_words,
     compose,
+    distinct_masks,
     element_from_signs,
     extend,
     full_group,
@@ -19,10 +23,12 @@ from nos.flipcore import (
     masks_to_bits,
     masks_to_words,
     negation,
+    random_masks,
     span,
     subgroup_from_basis_masks,
     words_to_masks,
 )
+from nos.testkit import Dataset, mc_signflip_test
 
 
 def test_element_basics():
@@ -157,3 +163,59 @@ def test_mask_bit_codec_roundtrip(n, data):
     assert np.array_equal(masks_to_words(masks, n), words)
     assert np.array_equal(bits_to_words(bits), words)
     assert words_to_masks(words) == masks
+
+
+@pytest.mark.parametrize("n", [3, 64, 100])
+def test_random_masks_fill_exactly_n_bits(n):
+    words = random_masks(np.random.default_rng(n), n, (50, 40))
+    assert words.shape == (50, 40, (n + 63) // 64) and words.dtype == np.uint64
+    masks = words_to_masks(words.reshape(-1, words.shape[-1]))
+    assert max(masks) < 1 << n
+    bits = masks_to_bits(words, n).reshape(-1, n)
+    assert bits.any(axis=0).all() and not bits.all(axis=0).any()
+
+
+@pytest.mark.parametrize("draws", [3, 7])
+def test_distinct_masks_uniform_outside_a_subgroup(draws):
+    # n = 4 without the rank-2 subgroup {0, 3, 5, 6} leaves 12 masks. 3 draws
+    # take the redraw path, 7 the permutation path; every draws-subset of the
+    # 12 must be equally likely, and no row may hold an excluded mask.
+    n, rows = 4, 40_000
+    excluded = subgroup_from_basis_masks(n, [0b0011, 0b0101]).element_masks()
+    with pytest.raises(ValueError):
+        distinct_masks(np.random.default_rng(draws), n, 1, 13, masks_to_words(excluded, n))
+    words = distinct_masks(np.random.default_rng(draws), n, rows, draws, masks_to_words(excluded, n))
+    assert words.shape == (rows, draws, 1)
+    masks = words[..., 0].astype(np.int64)
+    assert not np.isin(masks, excluded).any()
+    assert np.all(np.diff(np.sort(masks, axis=1), axis=1) > 0)
+    subsets = (1 << masks).sum(axis=1)  # a row's mask set as a 16-bit word
+    freq = np.bincount(subsets, minlength=1 << 16) / rows
+    p = 1 / math.comb(12, draws)
+    assert np.count_nonzero(freq) == math.comb(12, draws)
+    assert np.all(np.abs(freq[freq > 0] - p) <= 5 * math.sqrt(p * (1 - p) / rows))
+
+
+def test_seeded_sampler_streams_are_pinned():
+    # integer outputs of both clients of the sampler: a change to how masks
+    # are drawn moves them, and must update these figures on purpose
+    greedy = {
+        (24, 32, 0): [0x152B91, 0xE4C2A2, 0xE38E38, 0xFC0FC0, 0xFFF000],
+        (24, 32, 1): [0x18CDA1, 0xE92512, 0xE38E38, 0xFC0FC0, 0xFFF000],
+        (24, 32, 2): [0x18CD91, 0x0AAB32, 0xE38E38, 0xFC0FC0, 0xFFF000],
+        (32, 64, 0): [0x3CCCF60A, 0xCCCCCCCC, 0x6696AC50, 0x96665CA0, 0xFF00FF00, 0xFFFF0000],
+        (32, 64, 1): [0xAAAAAAAA, 0x6966F0CC, 0xF0F0F0F0, 0x5AAAC300, 0xA5AA3C00, 0xFFFF0000],
+        (32, 64, 2): [0x5AB86041, 0xAAAAAAAA, 0xCCCCCCCC, 0xF0F0F0F0, 0xFF00FF00, 0xFFFF0000],
+    }
+    for (n, order, seed), basis in greedy.items():
+        s = greedy_near_oracle(n, order, seed=seed)
+        assert s.element_masks() == subgroup_from_basis_masks(n, basis).element_masks(), (n, order, seed)
+    counts = [
+        mc_signflip_test(
+            Dataset.from_vector(np.random.default_rng(seed).standard_normal(n) + 0.3), 64, 0.05,
+            replacement="with", seed=seed,
+        ).exceed_count
+        for n in (8, 32)
+        for seed in range(5)
+    ]
+    assert counts == [2, 4, 16, 37, 17, 10, 2, 7, 8, 16]

@@ -1,14 +1,17 @@
 """Simulation harness: reproducibility, size control, threshold behavior."""
 
 import json
+import math
 
 import numpy as np
 import pytest
 
-from nos.construct import oracle_signflip
-from nos.leak import matrix_representation
+from nos.construct import oracle_orthogonal, oracle_signflip
+from nos.leak import Direction, matrix_representation
 from nos.simlab import (
     SimConfig,
+    _cell_rng,
+    _noise,
     conjecture_probe,
     consistency_probe,
     power_curve,
@@ -16,6 +19,7 @@ from nos.simlab import (
     pvalue_variability,
     size_audit,
 )
+from nos.testkit import exceed_counts
 
 REPS = 20000  # desk-scale for unit tests; acceptance tests run the full 1e5
 
@@ -124,6 +128,25 @@ def test_conjecture_probe_reports_differences():
             row["subgroup_power"] - row["mc_orthogonal_power"], abs=1e-12
         )
         assert row["difference_se"] > 0.0
+
+
+def test_conjecture_probe_difference_se_is_paired():
+    # replay the snr = 1 cell: both tests reject on the same datasets, so the
+    # SE is that of the per-dataset differences of the two indicators
+    n = M = 10
+    reps = 4000
+    row = conjecture_probe(n, M, [0.0, 1.0], reps, seed=6)[1]
+    rep = oracle_orthogonal(n, M, Direction.uniform(n))
+    rng = _cell_rng(6, 1)
+    X = 1.0 * rep.iota + _noise(rng, reps, n, "fixed-norm-sphere", 1.0, 1.0)
+    sub = exceed_counts("subgroup", X, columns=rep.columns)[0] / M <= 1 / M
+    mc = exceed_counts("mc-orthogonal", X, iota=rep.iota, M=M, rng=rng)[0] / M <= 1 / M
+    diff = sub.astype(float) - mc
+    assert row["power_difference"] == pytest.approx(diff.mean(), abs=1e-12)
+    assert row["difference_se"] == pytest.approx(diff.std() / math.sqrt(reps), rel=1e-12)
+    # the indicators correlate positively here, so pairing shrinks the SE
+    assert np.corrcoef(sub, mc)[0, 1] > 0
+    assert row["difference_se"] < math.hypot(row["subgroup_se"], row["mc_orthogonal_se"])
 
 
 def test_mc_mode_with_replacement_runs():

@@ -9,13 +9,19 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from nos.construct import oracle_signflip, two_adic_valuation
-from nos.flipcore import full_group, subgroup_from_basis_masks
+from nos.flipcore import (
+    distinct_masks,
+    full_group,
+    masks_to_bits,
+    masks_to_words,
+    random_masks,
+    subgroup_from_basis_masks,
+)
 from nos.leak import Direction, matrix_representation
 from nos.special import beta_sym_cdf, beta_sym_quantile
 from nos.testkit import (
     Dataset,
     _signflip_stats,
-    distinct_mask_bits,
     exceed_counts,
     full_orthogonal_test,
     mc_orthogonal_test,
@@ -30,6 +36,11 @@ from nos.testkit import (
 
 def _dataset(x, iota=None):
     return Dataset.from_vector(np.asarray(x, dtype=float), iota)
+
+
+def _distinct_bits(rng, rows, draws, n):
+    """The draw behind ``mc-signflip`` without replacement: distinct non-identity masks, as bits."""
+    return masks_to_bits(distinct_masks(rng, n, rows, draws, masks_to_words([0], n)), n)
 
 
 def test_statistic():
@@ -157,9 +168,9 @@ def test_mc_signflip_counts_are_exact_on_integer_data(n, M, replacement, side):
     # integer, so the exact count follows from the same draws in integers
     X = np.random.default_rng(n).integers(-2, 3, size=(400, n))
     if replacement == "with":
-        bits = np.random.default_rng(7).integers(0, 2, size=(400, M - 1, n), dtype=np.int8)
+        bits = masks_to_bits(random_masks(np.random.default_rng(7), n, (400, M - 1)), n)
     else:
-        bits = distinct_mask_bits(np.random.default_rng(7), 400, M - 1, n)
+        bits = _distinct_bits(np.random.default_rng(7), 400, M - 1, n)
     exact = np.einsum("cmn,cn->cm", 1 - 2 * bits.astype(np.int64), X)
     obs = X.sum(axis=1)
     if side == "two":
@@ -287,8 +298,8 @@ def test_mc_signflip_with_replacement_counts_drawn_ties():
     # x = (3, 1, 5), two-sided: the patterns +-I reach |3 + 1 + 5| = 9
     # exactly and no other pattern comes near, so every draw of them counts
     res = mc_signflip_test(_dataset([3.0, 1.0, 5.0]), 400, 0.05, side="two", replacement="with", seed=1)
-    bits = np.random.default_rng(1).integers(0, 2, size=(399, 3), dtype=np.int8)
-    assert res.exceed_count == 1 + int(np.count_nonzero(np.all(bits == bits[:, :1], axis=1)))
+    masks = random_masks(np.random.default_rng(1), 3, (399,))
+    assert res.exceed_count == 1 + int(np.count_nonzero(np.isin(masks, [0b000, 0b111])))
 
 
 def test_mc_signflip_without_replacement_any_n():
@@ -301,7 +312,7 @@ def test_mc_signflip_without_replacement_any_n():
 
 @pytest.mark.parametrize("n,draws", [(3, 3), (3, 6), (8, 63), (100, 40)])
 def test_distinct_mask_bits_are_distinct_and_non_identity(n, draws):
-    bits = distinct_mask_bits(np.random.default_rng(n), 500, draws, n)
+    bits = _distinct_bits(np.random.default_rng(n), 500, draws, n)
     assert bits.shape == (500, draws, n)
     assert bits.any(axis=2).all()
     for row in bits:
@@ -313,7 +324,7 @@ def test_distinct_mask_bits_uniform_over_subsets(draws):
     # n = 3: 7 non-identity masks. 3 draws take the redraw path, 5 the
     # permutation path; every draws-subset must be equally likely.
     rows = 40_000
-    bits = distinct_mask_bits(np.random.default_rng(0), rows, draws, 3)
+    bits = _distinct_bits(np.random.default_rng(0), rows, draws, 3)
     masks = (bits * (1 << np.arange(3))).sum(axis=2)
     subsets = (1 << masks).sum(axis=1)  # a row's mask set as a 7-bit word
     n_subsets = math.comb(7, draws)
