@@ -11,10 +11,11 @@ subgroups is equality of element lists.
 Masks are plain Python integers, which covers any n. Code that handles
 many masks at once holds them as arrays of ceil(n / 64) little-endian
 64-bit words per mask, or as per-coordinate bit arrays. The functions
-``masks_to_words``, ``words_to_masks``, ``masks_to_bits``, ``bits_to_words``
-and ``bits_to_masks`` are the one codec between the three forms, with
-words as the hub, and ``mask_keys`` gives each word row a 1-D sortable
-key for sorting and deduplication. Random masks are drawn in the word form
+``masks_to_words``, ``words_to_masks``, ``masks_to_bits`` (with its
+transpose ``masks_to_bit_columns``), ``bits_to_words`` and
+``bits_to_masks`` are the one codec between the three forms, with words
+as the hub, and ``mask_keys`` gives each word row a 1-D sortable key for
+sorting and deduplication. Random masks are drawn in the word form
 by the one sampler, ``random_masks`` (with replacement) and
 ``distinct_masks`` (without replacement, outside a set of masks).
 """
@@ -129,6 +130,14 @@ def masks_to_bits(masks, n: int) -> np.ndarray:
         masks = masks_to_words(masks, n)
     raw = np.ascontiguousarray(masks, dtype="<u8").view(np.uint8)
     return np.unpackbits(raw, axis=-1, count=n, bitorder="little").view(bool)
+
+
+def masks_to_bit_columns(masks, n: int) -> np.ndarray:
+    """``masks_to_bits(masks, n).T`` for Python-int masks as a C-order (n, len) array, transposed while packed."""
+    packed = np.ascontiguousarray(masks_to_words(masks, n).view(np.uint8).T)  # row b: byte b of every mask
+    # unpacking each byte along a new middle axis puts its bit k in row 8b + k
+    bits = np.unpackbits(packed[:, None, :], axis=1, bitorder="little")
+    return bits.reshape(8 * len(packed), len(masks))[:n].view(bool)
 
 
 def bits_to_words(bits) -> np.ndarray:

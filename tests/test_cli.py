@@ -124,6 +124,20 @@ def test_test_command_dimension_mismatch(tmp_path, capsys):
     assert code == EXIT_VALIDATION
 
 
+@pytest.mark.parametrize("command", ["test", "delta"])
+def test_non_finite_direction_is_a_validation_error(tmp_path, capsys, command):
+    sub = tmp_path / "s.nos"
+    sub.write_text("NOS1 4 2\n+1 +1 +1 +1\n+1 -1 +1 -1\n", encoding="utf-8")
+    iota = tmp_path / "d.txt"
+    iota.write_text("0.5\nnan\n0.5\n0.5\n", encoding="utf-8")
+    data = tmp_path / "x.txt"
+    data.write_text("1.0\n2.0\n0.5\n-1.0\n", encoding="utf-8")
+    argv = ["test", str(data), "--subgroup", str(sub), "--alpha", "0.5"] if command == "test" else ["delta", str(sub)]
+    code, stdout, err = _run(capsys, *argv, "--iota", str(iota))
+    assert code == EXIT_VALIDATION and stdout == ""
+    assert "non-finite" in err
+
+
 def test_test_command_two_sample(tmp_path, capsys):
     data = tmp_path / "x.txt"
     data.write_text("2.0\n1.5\n-0.5\n-1.0\n", encoding="utf-8")

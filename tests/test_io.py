@@ -1,11 +1,14 @@
 """`.nos` subgroup files and plain-text data/direction files."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nos.flipcore import subgroup_from_basis_masks
+from nos.construct import oracle_signflip
+from nos.flipcore import _rref_basis, bits_to_masks, masks_to_bits, subgroup_from_basis_masks
 from nos.io import (
     NosFormatError,
     format_subgroup,
@@ -87,6 +90,19 @@ def test_parse_accepts_unsigned_one_and_rejects_long_tokens():
         parse_subgroup("NOS1 2 2\n+1 +1\n-1.0 -1\n")
 
 
+def test_parse_peak_memory_is_a_small_multiple_of_the_text():
+    # byte-level parsing: no per-token strings, no intp array as long as the text
+    text = format_subgroup(oracle_signflip(1024, 10))
+    parse_subgroup(text)
+    tracemalloc.start()
+    try:
+        parse_subgroup(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * len(text)
+
+
 def test_read_data(tmp_path):
     path = tmp_path / "x.txt"
     path.write_text("1.5\n-2.0\n\n0.25\n", encoding="utf-8")
@@ -111,3 +127,108 @@ def test_read_direction_normalizes_with_warning(tmp_path):
     zero.write_text("0.0\n0.0\n", encoding="utf-8")
     with pytest.raises(NosFormatError):
         read_direction(zero)
+    nan = tmp_path / "nan.txt"
+    nan.write_text("0.5\nnan\n0.5\n0.5\n", encoding="utf-8")
+    with pytest.raises(NosFormatError, match="non-finite"):
+        read_direction(nan)
+
+
+def test_parse_rejects_tokens_with_trailing_nul():
+    with pytest.raises(NosFormatError, match=r"row 1, column 1: token '-1\\x00' is not \+1 or -1"):
+        parse_subgroup("NOS1 2 2\n+1 +1\n+1 -1\x00\n")
+
+
+def _reference_parse(text: str):
+    """The per-token parser that the byte-level one replaced, kept as the reference for its results and messages."""
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    if not lines:
+        raise NosFormatError("empty file")
+    header = lines[0].split()
+    if len(header) != 3 or header[0] != "NOS1":
+        raise NosFormatError(f"bad header {lines[0]!r}: expected 'NOS1 <n> <M>'")
+    try:
+        n, m = int(header[1]), int(header[2])
+    except ValueError as exc:
+        raise NosFormatError(f"non-integer dimensions in header {lines[0]!r}") from exc
+    if n < 1 or m < 1:
+        raise NosFormatError(f"dimensions must be positive, got n={n}, M={m}")
+    if len(lines) - 1 != m:
+        raise NosFormatError(f"header promises {m} rows, found {len(lines) - 1}")
+    bits = np.empty((m, n), dtype=bool)
+    for r, line in enumerate(lines[1:]):
+        tokens = line.split()
+        if len(tokens) != n:
+            raise NosFormatError(f"row {r} has {len(tokens)} tokens, expected {n}")
+        row = np.array(tokens, dtype="U3")
+        bits[r] = row == "-1"
+        bad = np.flatnonzero(~(bits[r] | (row == "+1") | (row == "1")))
+        if len(bad):
+            raise NosFormatError(f"row {r}, column {bad[0]}: token {tokens[bad[0]]!r} is not +1 or -1")
+    masks = bits_to_masks(bits)
+    if masks[0] != 0:
+        raise NosFormatError("first row must be the identity (all +1)")
+    if len(set(masks)) != m:
+        raise NosFormatError("duplicate rows")
+    if masks[1:] != sorted(masks[1:]):
+        raise NosFormatError("rows after the identity must be in ascending mask order")
+    basis = _rref_basis(masks)
+    if 1 << len(basis) == m:
+        sub = subgroup_from_basis_masks(n, basis)
+        if sub.element_masks() == masks:
+            return sub
+    mask_set = set(masks)
+    for a in masks:
+        for b in masks:
+            if a ^ b not in mask_set:
+                raise NosFormatError(
+                    f"not closed under composition: rows with masks {a:#x} and {b:#x} "
+                    f"compose to {a ^ b:#x}, which is missing"
+                )
+
+
+_TOKEN_SEPS = st.sampled_from([" ", "\t", "   ", "\xa0", "\u3000"])
+_LINE_BREAKS = st.sampled_from(["\n", "\r\n", "\r", "\x0b", "\x0c", "\u2028"])
+_PAD = st.sampled_from(["", " ", "\t", "  \xa0"])
+_BAD_TOKENS = ["+", "--1", "+11", "1-", "\u22121", "-1.0", "2"]
+
+
+def _outcome(parse, text):
+    try:
+        return "ok", parse(text)
+    except NosFormatError as exc:
+        return "error", str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(min_value=1, max_value=12), data=st.data())
+def test_parse_matches_reference_parser(n, data):
+    gens = data.draw(st.lists(st.integers(min_value=0, max_value=(1 << n) - 1), max_size=3))
+    s = subgroup_from_basis_masks(n, gens)
+    plus = st.sampled_from(["+1", "1"])
+    rows = [["-1" if b else data.draw(plus) for b in row] for row in masks_to_bits(s.element_masks(), n)]
+    mutation = data.draw(st.sampled_from(["none", "token", "drop", "add", "swap", "delete"]))
+    r = data.draw(st.integers(min_value=0, max_value=len(rows) - 1))
+    c = data.draw(st.integers(min_value=0, max_value=n - 1))
+    if mutation == "token":
+        rows[r][c] = data.draw(st.sampled_from(_BAD_TOKENS))
+    elif mutation == "drop":
+        del rows[r][c]
+    elif mutation == "add":
+        rows[r].insert(c, data.draw(st.sampled_from(["+1", "-1", "1"])))
+    elif mutation == "swap":
+        q = data.draw(st.integers(min_value=0, max_value=len(rows) - 1))
+        rows[r], rows[q] = rows[q], rows[r]
+    elif mutation == "delete":
+        del rows[r]
+    lines = [f"NOS1 {n} {s.order}"]
+    for row in rows:
+        line = ""
+        for i, token in enumerate(row):
+            line += (data.draw(_TOKEN_SEPS) if i else "") + token
+        lines.append(data.draw(_PAD) + line + data.draw(_PAD))
+        if data.draw(st.booleans()) and data.draw(st.booleans()):
+            lines.append(data.draw(_PAD))  # a blank line
+    text = data.draw(_PAD) + "".join(line + data.draw(_LINE_BREAKS) for line in lines)
+    if data.draw(st.booleans()):
+        text = text.rstrip("\n") + data.draw(_PAD)
+    assert _outcome(parse_subgroup, text) == _outcome(_reference_parse, text)

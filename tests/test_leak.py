@@ -1,12 +1,14 @@
 """Leak values, leak summaries, and matrix representations."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nos.construct import oracle_signflip
 from nos.flipcore import SignFlipElement, full_group, subgroup_from_basis_masks
 from nos.leak import (
     Direction,
@@ -30,6 +32,17 @@ def test_direction_validation():
     assert np.allclose(nd.coords, [0.6, 0.8])
     with pytest.raises(ValueError):
         Direction.from_vector([0.0, 0.0], normalize=True)
+
+
+def test_non_finite_directions_and_columns_rejected():
+    with pytest.raises(ValueError, match="finite"):
+        Direction(4, np.array([0.5, np.nan, 0.5, 0.5]))
+    with pytest.raises(ValueError, match="finite"):
+        Direction.from_vector([1.0, np.nan], normalize=True)
+    cols = np.eye(3)[:, :2]
+    cols[1, 1] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        MatrixRepresentation(3, 2, cols)
 
 
 def test_direction_is_immutable():
@@ -110,6 +123,30 @@ def test_delta_from_matrix_orthonormal_columns():
     cols = np.eye(4)[:, :3]
     rep = MatrixRepresentation(4, 3, cols)
     assert delta_from_matrix(rep) == 0.0
+
+
+def test_representation_copies_caller_arrays():
+    cols = np.eye(4)[:, :3]
+    rep = MatrixRepresentation(4, 3, cols)
+    cols[0, 0] = -1.0  # the caller's array stays theirs
+    assert rep.columns[0, 0] == 1.0 and not np.shares_memory(rep.columns, cols)
+    assert not rep.columns.flags.writeable
+    # only an array that is already read-only, C-order and float64 is kept as it is
+    assert MatrixRepresentation(4, 3, rep.columns).columns is rep.columns
+
+
+def test_matrix_representation_peak_memory():
+    # the n x M float64 columns, the bits and small change: no second n x M array
+    n = 1024
+    s = oracle_signflip(n, 10)
+    matrix_representation(s)
+    tracemalloc.start()
+    try:
+        matrix_representation(s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * 8 * n * s.order
 
 
 def test_negate_closure():
