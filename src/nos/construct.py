@@ -73,9 +73,16 @@ def oracle_signflip(n: int, k: int) -> SignFlipSubgroup:
     return subgroup_from_basis_masks(n, [_walsh_mask(n, j) for j in range(1, k + 1)])
 
 
-def _default_init(n: int, target_order: int) -> SignFlipSubgroup:
-    k = min(two_adic_valuation(n), target_order.bit_length() - 1)
-    return oracle_signflip(n, k)
+def coset_minima(words: np.ndarray, elements: list[int]) -> np.ndarray:
+    """Reduce each mask r of a (count, words) array, in place, to the smallest mask of r S; returns the array.
+
+    ``elements`` is S's canonical element list. Its elements 1, 2, 4, ... have distinct
+    highest bits; each, highest first, is XOR-ed into the masks that hold its highest bit.
+    """
+    for i in reversed(range(len(elements).bit_length() - 1)):
+        b, top = elements[1 << i], elements[1 << i].bit_length() - 1
+        words[words[:, top >> 6] >> (top & 63) & 1 == 1] ^= masks_to_words([b], 64 * words.shape[1])
+    return words
 
 
 def greedy_near_oracle(
@@ -95,13 +102,13 @@ def greedy_near_oracle(
     are broken by the lexicographically smallest sorted element list of
     the doubled subgroup, so the result is deterministic given the seed.
     That is the candidate r whose coset r S holds the smallest mask, since
-    both lists contain S and distinct cosets are disjoint; candidates of
-    one coset give the same subgroup, and the earliest drawn is kept.
+    both lists contain S and distinct cosets are disjoint. Candidates of
+    one coset give the same subgroup, so ``coset_minima`` reduces the tied
+    ones to their cosets' smallest masks and the smallest of those is kept.
 
     Candidates stay packed as ceil(n / 64) 64-bit words from the draw to
-    the score: the doubled subgroup's new elements r ^ e flip
-    popcount(r ^ e) coordinates, so every score is an exact integer, and
-    only the tied candidates become Python ints for the tie-break.
+    the tie-break: the doubled subgroup's new elements r ^ e flip
+    popcount(r ^ e) coordinates, so every score is an exact integer.
     """
     if objective not in ("delta", "delta_abs"):
         raise ValueError(f"unknown objective {objective!r}")
@@ -112,7 +119,7 @@ def greedy_near_oracle(
     if candidate_budget < 1:
         raise ValueError("candidate budget must be positive")
     if init is None:
-        init = _default_init(n, target_order)
+        init = oracle_signflip(n, min(two_adic_valuation(n), target_order.bit_length() - 1))
     if not isinstance(init, SignFlipSubgroup) or init.n != n:
         raise ValueError("init must be a sign-flip subgroup of matching dimension")
     if init.order > target_order:
@@ -127,8 +134,7 @@ def greedy_near_oracle(
         cur_max = max((n - 2 * e.bit_count() for e in elems[1:]), default=-n - 1)
         cur_min = min((n - 2 * e.bit_count() for e in elems[1:]), default=n + 1)
 
-        budget = min(candidate_budget, (1 << n) - s.order)
-        candidates = distinct_masks(rng, n, 1, budget, e_words)[0]
+        candidates = distinct_masks(rng, n, 1, min(candidate_budget, (1 << n) - s.order), e_words)[0]
         scores = np.empty(len(candidates), dtype=np.int64)
         for lo in range(0, len(candidates), _CHUNK):
             r = candidates[lo : lo + _CHUNK, None, :]
@@ -137,9 +143,8 @@ def greedy_near_oracle(
             if objective == "delta_abs":
                 hi = np.maximum(hi, np.maximum(2 * flips.max(axis=1) - n, -cur_min))
             scores[lo : lo + _CHUNK] = hi
-        tied = words_to_masks(candidates[scores == scores.min()])
-        best = min(tied, key=lambda r: min(r ^ e for e in elems))
-        s = extend(s, SignFlipElement(n, best))
+        leaders = coset_minima(candidates[scores == scores.min()], elems)
+        s = extend(s, SignFlipElement(n, words_to_masks(leaders[np.lexsort(leaders.T)[:1]])[0]))
     return s
 
 

@@ -116,7 +116,7 @@ def mask_keys(words: np.ndarray) -> np.ndarray:
     """
     if words.shape[-1] == 1:
         return words[..., 0]
-    return np.ascontiguousarray(words).view(np.dtype((np.void, 8 * words.shape[-1])))[..., 0]
+    return np.ascontiguousarray(words).view(f"S{8 * words.shape[-1]}")[..., 0]
 
 
 def masks_to_bits(masks, n: int) -> np.ndarray:
@@ -161,14 +161,23 @@ def random_masks(rng: np.random.Generator, n: int, shape) -> np.ndarray:
     return rng.integers(0, high, size=tuple(shape) + (len(tops),), dtype=np.uint64, endpoint=True)
 
 
-def _repeats(words: np.ndarray) -> np.ndarray:
-    """Entries of a (rows, draws, words) mask array that repeat an earlier entry of their row."""
-    keys = mask_keys(words)
-    order = np.argsort(keys, axis=1, kind="stable")  # equal keys keep their position order
-    srt = np.take_along_axis(keys, order, axis=1)
-    repeat = np.zeros(keys.shape, dtype=bool)
-    np.put_along_axis(repeat, order[:, 1:], srt[:, 1:] == srt[:, :-1], axis=1)
-    return repeat
+def _repeats(keys: np.ndarray):
+    """Sorted flat indices of the entries of a (rows, width) key array that repeat an earlier one of their row.
+
+    Also returns the rows that hold repeats, every row's sorted keys, and the flat indices of
+    those rows' entries in key order, where each run of equal keys starts with its earliest.
+    """
+    srt = np.sort(keys, axis=1)
+    later = np.zeros((len(keys), keys.shape[1] + 1), dtype=bool)  # sorted slot equal to the slot before
+    later[:, 1:-1] = srt[:, 1:] == srt[:, :-1]
+    if not later.any():
+        return np.empty(0, dtype=np.intp), None, None, None
+    hit = np.flatnonzero(later.any(axis=1))
+    first, later = np.argsort(keys[hit] if len(hit) < len(keys) else keys, axis=1), later[hit]
+    first += hit[:, None] * keys.shape[1]  # flat indices in key order, equal keys in any order
+    run, lead = later[:, :-1] | later[:, 1:], later[:, 1:] & ~later[:, :-1]  # runs of equal keys, first slots
+    members, first[lead] = first[run], np.minimum.reduceat(first[run], np.flatnonzero(lead[run]))
+    return np.sort(members[members != first[lead][np.cumsum(lead[run]) - 1]]), hit, srt, first
 
 
 def distinct_masks(rng: np.random.Generator, n: int, rows: int, draws: int, exclude: np.ndarray) -> np.ndarray:
@@ -178,11 +187,13 @@ def distinct_masks(rng: np.random.Generator, n: int, rows: int, draws: int, excl
     sample without replacement from the other 2^n - len(exclude) masks, in
     draw order. The excluded masks are written in front of every row, so an
     excluded draw repeats an earlier entry; entries that repeat one are
-    redrawn, and only those. Which entries they are depends only on the
-    pattern of equalities, which a relabelling of the allowed masks (fixing
-    the excluded ones) leaves unchanged, so the result is uniform. When
-    more than half of the allowed masks are drawn, each row is instead a
-    prefix of a random permutation of them, so no redraw loop runs long.
+    redrawn in row-major order, and only those. Which entries they are
+    depends only on the pattern of equalities, which a relabelling of the
+    allowed masks (fixing the excluded ones) leaves unchanged, so the
+    result is uniform. The first check sorts each row's keys once; as the
+    entries it keeps are distinct, later checks search only redrawn keys in
+    those sorted rows. When over half of the allowed masks are drawn, each
+    row is a prefix of a random permutation of them, so no loop runs long.
     """
     allowed = (1 << n) - len(exclude)
     if draws > allowed:
@@ -190,19 +201,25 @@ def distinct_masks(rng: np.random.Generator, n: int, rows: int, draws: int, excl
     if 2 * draws > allowed:
         pool = np.delete(np.arange(1 << n, dtype=np.uint64), exclude[:, 0].astype(np.intp))
         return rng.permuted(np.tile(pool, (rows, 1)), axis=1)[:, :draws, None]
-    head = len(exclude)
-    words = np.empty((rows, head + draws, exclude.shape[1]), dtype=np.uint64)
-    words[:, :head] = exclude
-    words[:, head:] = random_masks(rng, n, (rows, draws))
-    redo = _repeats(words)
-    live = np.arange(rows)  # rows that may still hold repeats
-    while redo.any():
-        hit = redo.any(axis=1)
-        live, redo = live[hit], redo[hit]
-        sub = words[live]
-        sub[redo] = random_masks(rng, n, (int(redo.sum()),))
-        words[live] = sub
-        redo = _repeats(sub)
+    head, width = len(exclude), len(exclude) + draws
+    words = np.empty((rows, width, exclude.shape[1]), dtype=np.uint64)
+    words[:, :head], words[:, head:] = exclude, random_masks(rng, n, (rows, draws))
+    keys = mask_keys(words).reshape(-1)  # a view: it sees every redraw
+    redo, hit, srt, first = _repeats(keys.reshape(rows, width))
+    done = redo[:0]
+    while len(redo):
+        words.reshape(-1, words.shape[2])[redo] = random_masks(rng, n, (len(redo),))
+        done = np.concatenate([done, redo])  # every entry redrawn so far, some more than once
+        row, q, lo, hi = done // width, keys[done], np.zeros_like(done), np.full(len(done), width - 1)
+        for _ in range(width.bit_length()):  # lo becomes the leftmost slot of q in its row of srt, if any
+            right = srt[row, (mid := (lo + hi) >> 1)] < q
+            lo, hi = np.where(right, np.minimum(mid + 1, hi), lo), np.where(right, hi, mid)
+        near = np.concatenate([done, first[np.searchsorted(hit, row), lo][srt[row, lo] == q]])  # and kept entries
+        rank = np.searchsorted(np.sort(keys[near]), keys[near])  # equal for equal keys only
+        rank, near = np.divmod(np.sort(rank * keys.size + near), keys.size)  # by key, then flat index
+        same = (rank[1:] == rank[:-1]) & (near[1:] // width == near[:-1] // width) & (near[1:] != near[:-1])
+        redo = np.sort(near[1:][same])  # in each group of equal keys in a row, all but the earliest entry
+        done = done[np.bincount(redo // width, minlength=rows)[done // width] > 0]  # rows with redraws stay live
     return words[:, head:]
 
 

@@ -34,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .flipcore import SignFlipSubgroup, _rref_basis, bits_to_masks, masks_to_bits, subgroup_from_basis_masks
+from .flipcore import SignFlipSubgroup, bits_to_masks, masks_to_bits, subgroup_from_basis_masks
 from .leak import Direction
 
 __all__ = [
@@ -175,11 +175,9 @@ def parse_subgroup(text: str) -> SignFlipSubgroup:
         raise NosFormatError("duplicate rows")
     if masks[1:] != sorted(masks[1:]):
         raise NosFormatError("rows after the identity must be in ascending mask order")
-    # identity first, distinct and sorted: the rows form a subgroup iff they
-    # are the canonical element list of their span, which has 2^rank elements
-    basis = _rref_basis(masks)
-    if 1 << len(basis) == m:
-        sub = subgroup_from_basis_masks(n, basis)
+    # sorted, distinct, identity first: a subgroup iff it is the element list of the span of rows 1, 2, 4, ...
+    if m & (m - 1) == 0:
+        sub = subgroup_from_basis_masks(n, [masks[1 << i] for i in range(m.bit_length() - 1)])
         if sub.element_masks() == masks:
             return sub
     mask_set = set(masks)

@@ -1,10 +1,13 @@
 """Oracle and near-oracle subgroup constructors."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from nos.construct import (
     InfeasibleOrderError,
+    coset_minima,
     greedy_near_oracle,
     iota_two_sample,
     oracle_orthogonal,
@@ -159,6 +162,44 @@ def test_sampler_matches_set_reference(n, rank, count):
     assert got.shape == (count, 1)
     assert words_to_masks(got) == _sample_by_set(ref_rng, n, elems, count)
     assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("n", [6, 20, 63, 64, 65, 100, 130])
+def test_coset_minima_match_brute_force(n):
+    rng = np.random.default_rng(n)
+    for rank in range(min(n, 6)):
+        s = subgroup_from_basis_masks(n, words_to_masks(random_masks(rng, n, (rank,))))
+        elems = s.element_masks()
+        words = np.concatenate([random_masks(rng, n, (200,)), masks_to_words(elems, n)])
+        expected = [min(r ^ e for e in elems) for r in words_to_masks(words)]
+        got = coset_minima(words.copy(), elems)
+        assert words_to_masks(got) == expected, (n, s.rank)
+        assert words_to_masks(got[200:]) == [0] * s.order
+
+
+def test_greedy_pins_at_n20():
+    # at n <= 22 the sampler runs several redraw passes per round, which the pins at
+    # (24, 32) and (32, 64) barely reach; finding repeats faster must not move these
+    pins = {
+        0: [0xC7989, 0x398CA, 0xD8A04, 0x75A50, 0xF83E0, 0xFFC00],
+        1: [0xC1B45, 0x062C6, 0xD8A08, 0x8D9D0, 0xF83E0, 0xFFC00],
+        2: [0xAD091, 0x191D2, 0x92AC4, 0xAB208, 0xF83E0, 0xFFC00],
+    }
+    for seed, basis in pins.items():
+        assert [b.mask for b in greedy_near_oracle(20, 64, seed=seed).basis] == basis, seed
+
+
+def test_greedy_peak_memory():
+    # a 100 000-candidate row of one-word masks takes 0.8 MB; the sampler's sort
+    # and the scoring chunks add a few such arrays, not copies of every row
+    greedy_near_oracle(24, 32, seed=7)
+    tracemalloc.start()
+    try:
+        greedy_near_oracle(24, 32, seed=7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * 2**20
 
 
 def test_greedy_validation():

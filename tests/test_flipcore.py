@@ -11,6 +11,7 @@ from nos.construct import greedy_near_oracle
 from nos.flipcore import (
     DimensionMismatchError,
     SignFlipElement,
+    _repeats,
     bits_to_masks,
     bits_to_words,
     compose,
@@ -22,6 +23,7 @@ from nos.flipcore import (
     is_subgroup,
     masks_to_bit_columns,
     masks_to_bits,
+    mask_keys,
     masks_to_words,
     negation,
     random_masks,
@@ -197,6 +199,114 @@ def test_distinct_masks_uniform_outside_a_subgroup(draws):
     p = 1 / math.comb(12, draws)
     assert np.count_nonzero(freq) == math.comb(12, draws)
     assert np.all(np.abs(freq[freq > 0] - p) <= 5 * math.sqrt(p * (1 - p) / rows))
+
+
+def _reference_repeats(words):
+    """The stable-argsort repeat finder the one-sort ``_repeats`` replaced, kept as its reference."""
+    keys = mask_keys(words)
+    order = np.argsort(keys, axis=1, kind="stable")  # equal keys keep their position order
+    srt = np.take_along_axis(keys, order, axis=1)
+    repeat = np.zeros(keys.shape, dtype=bool)
+    np.put_along_axis(repeat, order[:, 1:], srt[:, 1:] == srt[:, :-1], axis=1)
+    return repeat
+
+
+def _reference_distinct_masks(rng, n, rows, draws, exclude):
+    """The redraw loop that re-checked whole rows with ``_reference_repeats``.
+
+    Also returns how many kept entries a redrawn earlier entry turned into
+    repeats, so that a test can show that its case came up.
+    """
+    head = len(exclude)
+    words = np.empty((rows, head + draws, exclude.shape[1]), dtype=np.uint64)
+    words[:, :head] = exclude
+    words[:, head:] = random_masks(rng, n, (rows, draws))
+    redo, kept_hits = _reference_repeats(words), 0
+    live = np.arange(rows)
+    while redo.any():
+        hit = redo.any(axis=1)
+        live, redo = live[hit], redo[hit]
+        sub = words[live]
+        sub[redo] = random_masks(rng, n, (int(redo.sum()),))
+        words[live] = sub
+        redo, drawn = _reference_repeats(sub), redo
+        kept_hits += int((redo & ~drawn).sum())
+    return words[:, head:], kept_hits
+
+
+def _heavy_duplicates(rng, n, shape, pool):
+    """A shape + (words,) array of masks drawn from ``pool`` distinct ones.
+
+    When there are several rows, row 0 holds distinct masks and row 1 one
+    mask throughout. At n > 64 four of the masks differ only in their last
+    word, and a third have zero upper words.
+    """
+    if n <= 20:
+        values = masks_to_words(rng.permutation(1 << n)[:pool].tolist(), n)
+    else:
+        values = random_masks(rng, n, (pool,))
+        values[:4, :-1], values[:4, -1] = values[0, :-1], np.arange(4)
+        values[4 : pool // 3, 1:] = 0
+    assert len(np.unique(values, axis=0)) == pool
+    words = values[rng.integers(0, pool, size=shape)]
+    if shape[0] > 1:
+        words[0], words[1] = values[: shape[1]], values[0]
+    return words
+
+
+@pytest.mark.parametrize(
+    "n,shape,pool",
+    [(20, (1, 100_000), 60_000), (8, (4096, 20), 24), (8, (4096, 20), 128), (130, (50, 40), 60)],
+)
+def test_repeats_match_the_stable_argsort_reference(n, shape, pool):
+    words = _heavy_duplicates(np.random.default_rng(n + pool), n, shape, pool)
+    expected = _reference_repeats(words)
+    redo, hit, srt, first = _repeats(mask_keys(words))
+    assert np.array_equal(redo, np.flatnonzero(expected))
+    assert np.array_equal(hit, np.flatnonzero(expected.any(axis=1)))
+    assert expected.mean() > 0.05  # heavy duplication: at least one entry in twenty repeats
+    if shape[0] > 1:  # a row without repeats, and a row of one repeated mask
+        assert not expected[0].any() and not expected[1, 0] and expected[1, 1:].all()
+    # every run of equal sorted keys is led by the flat index of its earliest entry
+    keys, srt = mask_keys(words).reshape(-1), srt[hit]
+    lead = np.ones(srt.shape, dtype=bool)
+    lead[:, 1:] = srt[:, 1:] != srt[:, :-1]
+    assert np.array_equal(keys[first[lead]], srt[lead])
+    assert not expected.reshape(-1)[first[lead]].any()
+
+
+class _SixtyFourMasks:
+    """A generator whose masks take 64 values whatever their width, so that they collide often."""
+
+    def __init__(self, seed):
+        self.bit_generator = np.random.PCG64(seed)
+
+    def integers(self, low, high, size, dtype, endpoint):
+        per_word = round(64 ** (1 / size[-1]))  # size[-1] is the number of words per mask
+        return np.random.Generator(self.bit_generator).integers(0, per_word, size=size).astype(dtype)
+
+
+@pytest.mark.parametrize(
+    "generator,n,rows,draws,excluded,later_kept",
+    [
+        (np.random.default_rng, 8, 4096, 19, [0], True),
+        (np.random.default_rng, 4, 5000, 3, [0b0000, 0b0011, 0b0101, 0b0110], False),
+        (np.random.default_rng, 20, 1, 100_000, [0, 1, 2, 3], True),
+        (np.random.default_rng, 22, 3, 20_000, list(range(64)), False),
+        (np.random.default_rng, 130, 50, 40, [0], False),
+        # rows of 20 out of 64 masks redraw for several passes, with multi-word keys at n = 130
+        (_SixtyFourMasks, 64, 50, 20, [0, 1, 2], True),
+        (_SixtyFourMasks, 130, 50, 20, [0, 1, 1 << 64], True),
+    ],
+)
+def test_distinct_masks_match_the_whole_row_redraw_loop(generator, n, rows, draws, excluded, later_kept):
+    rng, ref_rng = generator(n), generator(n)
+    got = distinct_masks(rng, n, rows, draws, masks_to_words(excluded, n))
+    expected, kept_hits = _reference_distinct_masks(ref_rng, n, rows, draws, masks_to_words(excluded, n))
+    assert np.array_equal(got, expected)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    if later_kept:  # a redrawn entry equalled a kept entry later in its row, which became the repeat
+        assert kept_hits > 0
 
 
 def test_seeded_sampler_streams_are_pinned():

@@ -1,5 +1,6 @@
 """`.nos` subgroup files and plain-text data/direction files."""
 
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -232,3 +233,17 @@ def test_parse_matches_reference_parser(n, data):
     if data.draw(st.booleans()):
         text = text.rstrip("\n") + data.draw(_PAD)
     assert _outcome(parse_subgroup, text) == _outcome(_reference_parse, text)
+
+
+@pytest.mark.parametrize("m", [3, 4, 6, 8])
+def test_closure_check_matches_reference_parser_on_every_sorted_row_set(m):
+    # every well-formed n = 4 file of m rows: the check reduces only rows 1, 2, 4, ...
+    # when m is a power of two, and must accept and reject exactly as the full reduction
+    accepted = 0
+    for rest in itertools.combinations(range(1, 16), m - 1):
+        rows = masks_to_bits([0, *rest], 4)
+        text = "NOS1 4 %d\n" % m + "".join(" ".join("-1" if b else "+1" for b in row) + "\n" for row in rows)
+        outcome = _outcome(parse_subgroup, text)
+        assert outcome == _outcome(_reference_parse, text), rest
+        accepted += outcome[0] == "ok"
+    assert accepted == {3: 0, 4: 35, 6: 0, 8: 15}[m]  # the subgroups of order m in F_2^4
