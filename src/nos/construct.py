@@ -144,6 +144,7 @@ def greedy_near_oracle(
                 hi = np.maximum(hi, np.maximum(2 * flips.max(axis=1) - n, -cur_min))
             scores[lo : lo + _CHUNK] = hi
         leaders = coset_minima(candidates[scores == scores.min()], elems)
+        del candidates, scores, r  # r views candidates; free both before the next round draws
         s = extend(s, SignFlipElement(n, words_to_masks(leaders[np.lexsort(leaders.T)[:1]])[0]))
     return s
 

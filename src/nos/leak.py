@@ -12,7 +12,7 @@ computed in integer arithmetic on the n-scaled axis.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -20,6 +20,7 @@ from .flipcore import (
     DimensionMismatchError,
     SignFlipElement,
     SignFlipSubgroup,
+    _enumerate_span,
     extend,
     masks_to_bit_columns,
     masks_to_bits,
@@ -78,11 +79,15 @@ class MatrixRepresentation:
 
     This is the universal test-execution format: evaluating the invariance
     test only needs the inner products of the columns with the data.
+    ``iota`` is a read-only contiguous copy of column 0. ``signatures``, set
+    only by ``matrix_representation``, gives column j = iota_i (-1)^popcount(j & signatures[i]).
     """
 
     n: int
     M: int
     columns: np.ndarray  # shape (n, M)
+    iota: np.ndarray = field(init=False, repr=False, compare=False)
+    signatures: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         cols = self.columns
@@ -96,11 +101,10 @@ class MatrixRepresentation:
         if not np.all(np.abs(norms - 1.0) <= _UNIT_NORM_TOL):  # NaN fails too
             raise ValueError("every column must be finite with unit norm (tol 1e-12)")
         cols.flags.writeable = False
+        iota = cols[:, 0].copy()
+        iota.flags.writeable = False
         object.__setattr__(self, "columns", cols)
-
-    @property
-    def iota(self) -> np.ndarray:
-        return self.columns[:, 0]
+        object.__setattr__(self, "iota", iota)
 
 
 @dataclass(frozen=True)
@@ -196,7 +200,7 @@ def matrix_representation(s: SignFlipSubgroup, iota: Direction | None = None) ->
         iota = Direction.uniform(s.n)
     if s.n != iota.n:
         raise DimensionMismatchError(f"subgroup n={s.n} != direction n={iota.n}")
-    bits = masks_to_bit_columns(s.element_masks(), s.n)
+    bits = masks_to_bit_columns(masks := s.element_masks(), s.n)
     coords = iota.coords[:, None]
     # columns j and k collide iff the element m_j ^ m_k flips only zero
     # coordinates of iota, i.e. iff some non-identity element does
@@ -206,7 +210,13 @@ def matrix_representation(s: SignFlipSubgroup, iota: Direction | None = None) ->
         )
     cols = np.where(bits, -coords, coords)  # C-order (n, M), written once
     cols.flags.writeable = False  # so MatrixRepresentation keeps it without a copy
-    return MatrixRepresentation(s.n, s.order, cols)
+    rep = MatrixRepresentation(s.n, s.order, cols)
+    powers = 1 << np.arange(s.order.bit_length() - 1)
+    if _enumerate_span([masks[p] for p in powers]) == masks:  # element j is the XOR of rows 1 << b, b in j
+        signatures = bits[:, powers] @ powers
+        signatures.flags.writeable = False
+        object.__setattr__(rep, "signatures", signatures)
+    return rep
 
 
 def delta_from_matrix(rep: MatrixRepresentation) -> float:

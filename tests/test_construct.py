@@ -202,6 +202,19 @@ def test_greedy_peak_memory():
     assert peak <= 6 * 2**20
 
 
+def test_greedy_frees_each_round_before_the_next_draw():
+    # the run peaks while a round draws; holding the previous round's
+    # candidates and scores through that draw took it to 4.37 MiB, 3.83 without
+    greedy_near_oracle(24, 32, seed=7)
+    tracemalloc.start()
+    try:
+        greedy_near_oracle(24, 32, seed=7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.1 * 2**20
+
+
 def test_greedy_validation():
     with pytest.raises(InfeasibleOrderError):
         greedy_near_oracle(4, 3)

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nos.construct import oracle_signflip
-from nos.flipcore import SignFlipElement, full_group, subgroup_from_basis_masks
+from nos.construct import oracle_orthogonal, oracle_signflip
+from nos.flipcore import SignFlipElement, SignFlipSubgroup, full_group, subgroup_from_basis_masks
 from nos.leak import (
     Direction,
     MatrixRepresentation,
@@ -147,6 +147,54 @@ def test_matrix_representation_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak <= 1.25 * 8 * n * s.order
+
+
+def _random_subgroup(rng, n, rank):
+    return subgroup_from_basis_masks(n, [int.from_bytes(rng.bytes(n // 8 + 1), "little") % (1 << n) for _ in range(rank)])
+
+
+@pytest.mark.parametrize("n", [5, 12, 63, 64, 65, 130])
+def test_canonical_elements_are_xors_of_the_power_of_two_rows(n):
+    # element j of the sorted list is the XOR of elements 1, 2, 4, ... at j's set bits,
+    # which is what makes column j of the representation iota_i (-1)^popcount(j & sig_i)
+    rng = np.random.default_rng(n)
+    for rank in range(min(n, 7) + 1):
+        for _ in range(4):
+            s = _random_subgroup(rng, n, rank)
+            masks, k = s.element_masks(), s.rank
+            for j, m in enumerate(masks):
+                want = 0
+                for b in range(k):
+                    if j >> b & 1:
+                        want ^= masks[1 << b]
+                assert m == want
+            iota = Direction.from_vector(rng.standard_normal(n), normalize=True)
+            rep = matrix_representation(s, iota)
+            sig = rep.signatures
+            assert sig.shape == (n,) and not sig.flags.writeable
+            for b in range(k):  # bit b of sig_i: does row 1 << b flip coordinate i
+                assert np.array_equal(sig >> b & 1, [masks[1 << b] >> i & 1 for i in range(n)])
+            parity = np.bitwise_count(np.arange(s.order)[None, :] & sig[:, None]) & 1
+            assert np.array_equal(rep.columns, np.where(parity == 1, -iota.coords[:, None], iota.coords[:, None]))
+
+
+def test_only_representations_of_canonical_subgroups_carry_signatures():
+    rep = matrix_representation(oracle_signflip(16, 3))
+    assert rep.signatures is not None
+    assert rep.iota.flags.c_contiguous and not rep.iota.flags.writeable
+    assert np.array_equal(rep.iota, rep.columns[:, 0]) and not np.shares_memory(rep.iota, rep.columns)
+    perm = np.r_[0, np.arange(rep.M - 1, 0, -1)]
+    for other in (
+        MatrixRepresentation(rep.n, rep.M, rep.columns),  # hand-built from the same columns
+        MatrixRepresentation(rep.n, rep.M, rep.columns[:, perm]),  # column-permuted copy
+        oracle_orthogonal(16, 8, Direction.uniform(16)),
+    ):
+        assert other.signatures is None
+        assert np.array_equal(other.iota, other.columns[:, 0])
+    # a subgroup object whose element list is not in canonical order gets none either
+    s = oracle_signflip(8, 3)
+    shuffled = SignFlipSubgroup(8, s.basis, s.elements[:1] + s.elements[:0:-1])
+    assert matrix_representation(shuffled).signatures is None
 
 
 def test_negate_closure():

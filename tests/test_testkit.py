@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from nos.construct import oracle_signflip, two_adic_valuation
+from nos import testkit
+from nos.construct import oracle_signflip, two_adic_valuation, two_sample_oracle
 from nos.flipcore import (
     distinct_masks,
     full_group,
@@ -17,7 +18,7 @@ from nos.flipcore import (
     random_masks,
     subgroup_from_basis_masks,
 )
-from nos.leak import Direction, matrix_representation
+from nos.leak import Direction, MatrixRepresentation, matrix_representation
 from nos.special import beta_sym_cdf, beta_sym_quantile
 from nos.testkit import (
     Dataset,
@@ -292,6 +293,81 @@ def test_exceed_count_is_exact_on_integer_data(n, side):
     single = [subgroup_test(_dataset(x), rep, 0.05, side).exceed_count for x in X]
     assert np.array_equal(batched, want)
     assert np.array_equal(single, want)
+
+
+def _random_subgroup(rng, n, rank):
+    return subgroup_from_basis_masks(n, [int.from_bytes(rng.bytes(n // 8 + 1), "little") % (1 << n) for _ in range(rank)])
+
+
+def _walsh_cases():
+    rng = np.random.default_rng(15)
+    # n = 10 into M = 512 bins: most bins are empty
+    yield "empty-bins", matrix_representation(_random_subgroup(rng, 10, 9)), rng.standard_normal((20, 10))
+    v = rng.standard_normal(200)
+    v[rng.permutation(200)[:40]] = 0.0  # a direction that is 20 % zeros
+    rep = matrix_representation(_random_subgroup(rng, 200, 10), Direction.from_vector(v, normalize=True))
+    yield "zero-coordinates", rep, rng.standard_normal((20, 200))
+    X = rng.standard_normal((20, 128)) + np.r_[np.zeros(64), np.ones(64)]
+    X[::3] = np.rint(2 * X[::3])  # integer rows tie exactly
+    yield "two-sample", two_sample_oracle(64, 64), X
+    yield "integer-ties", matrix_representation(oracle_signflip(96, 5)), rng.integers(-2, 3, (40, 96)).astype(float)
+    yield "greedy", matrix_representation(_random_subgroup(rng, 1536, 10)), rng.standard_normal((10, 1536))
+
+
+@pytest.mark.parametrize("case", list(_walsh_cases()), ids=lambda c: c[0])
+@pytest.mark.parametrize("side", ["one", "two"])
+def test_walsh_path_matches_the_dense_product(case, side, monkeypatch):
+    # forced onto the transform at every shape: each statistic within n eps ||x||_2 of
+    # the dense column's, and every count equal to the dense kernel's
+    _name, rep, X = case
+    monkeypatch.setattr(testkit, "_walsh_pays", lambda reps, n, M: True)
+    for x in X:
+        walsh = testkit._subgroup_stats(x[None], rep.columns, rep.iota, rep.signatures)[0]
+        dense = x @ rep.columns
+        assert np.all(np.abs(walsh - dense) <= rep.n * np.finfo(float).eps * np.linalg.norm(x))
+        got, obs = exceed_counts("subgroup", x, side, columns=rep.columns, iota=rep.iota, signatures=rep.signatures)
+        want, _obs = exceed_counts("subgroup", x, side, columns=rep.columns)
+        assert got[0] == want[0] and obs[0] == (abs(walsh[0]) if side == "two" else walsh[0])
+        if np.array_equal(x, np.rint(x)) and np.ptp(np.abs(rep.iota)) == 0:  # +-1/sqrt(n) columns: exact ties
+            exact = x @ np.rint(rep.columns * math.sqrt(rep.n))
+            if side == "two":
+                exact = np.abs(exact)
+            assert got[0] == np.count_nonzero(exact >= exact[0])
+
+
+@pytest.mark.parametrize("side", ["one", "two"])
+def test_walsh_path_at_n_2048_matches_the_dense_product(side):
+    # the shape that takes the transform unforced; integer rows tie exactly
+    rep = matrix_representation(oracle_signflip(2048, 11))
+    X = 0.05 + np.random.default_rng(2048).standard_normal((6, 2048))
+    X[::2] = np.rint(X[::2])
+    for x in X:
+        res = subgroup_test(_dataset(x), rep, 1 / 64, side)
+        want, obs = exceed_counts("subgroup", x, side, columns=rep.columns)
+        assert res.exceed_count == want[0]
+        assert abs(res.statistic - obs[0]) <= 2048 * np.finfo(float).eps * np.linalg.norm(x)
+
+
+def test_walsh_path_runs_only_where_the_rule_sends_it(monkeypatch):
+    calls = []
+    transform = testkit._walsh_hadamard
+    monkeypatch.setattr(testkit, "_walsh_hadamard", lambda b: calls.append(len(b)) or transform(b))
+    rep = matrix_representation(oracle_signflip(2048, 11))
+    x = 0.1 + np.random.default_rng(3).standard_normal(2048)
+    res = subgroup_test(_dataset(x), rep, 1 / 64)
+    assert calls == [2048]
+    # a batch, and hand-built or column-permuted copies of the same columns, stay dense
+    exceed_counts("subgroup", np.stack([x, x]), columns=rep.columns, iota=rep.iota, signatures=rep.signatures)
+    perm = np.r_[0, np.random.default_rng(4).permutation(np.arange(1, 2048))]
+    for other in (MatrixRepresentation(2048, 2048, rep.columns), MatrixRepresentation(2048, 2048, rep.columns[:, perm])):
+        again = subgroup_test(_dataset(x), other, 1 / 64)
+        assert (again.exceed_count, again.reject) == (res.exceed_count, res.reject)
+    small = matrix_representation(oracle_signflip(32, 5))  # the shapes of the analyst and simulate calls
+    subgroup_test(_dataset(x[:32]), small, 1 / 16)
+    assert calls == [2048]
+    assert not testkit._walsh_pays(1, 32, 64) and not testkit._walsh_pays(20_000, 16, 16)
+    assert not testkit._walsh_pays(1, 16, 1 << 16)  # the full group at n = 16, where the transform loses
+    assert testkit._walsh_pays(1, 4096, 4096) and not testkit._walsh_pays(2, 4096, 4096)
 
 
 def test_mc_signflip_with_replacement_counts_drawn_ties():
