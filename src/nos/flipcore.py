@@ -11,13 +11,16 @@ subgroups is equality of element lists.
 Masks are plain Python integers, which covers any n. Code that handles
 many masks at once holds them as arrays of ceil(n / 64) little-endian
 64-bit words per mask, or as per-coordinate bit arrays. The functions
-``masks_to_words``, ``words_to_masks``, ``masks_to_bits`` (with its
-transpose ``masks_to_bit_columns``), ``bits_to_words`` and
-``bits_to_masks`` are the one codec between the three forms, with words
-as the hub, and ``mask_keys`` gives each word row a 1-D sortable key for
-sorting and deduplication. Random masks are drawn in the word form
-by the one sampler, ``random_masks`` (with replacement) and
-``distinct_masks`` (without replacement, outside a set of masks).
+``masks_to_words``, ``words_to_masks``, ``masks_to_bits``,
+``bits_to_words`` and ``bits_to_masks`` are the one codec between the
+three forms, with words as the hub, and ``mask_keys`` gives each word row
+a 1-D sortable key for sorting and deduplication. Random masks are drawn
+in the word form by the one sampler, ``random_masks`` (with replacement)
+and ``distinct_masks`` (without replacement, outside a set of masks).
+A subgroup of order 2^k also has a k-bit signature per coordinate i (bit b
+set iff element 2^b flips i); element j flips i iff popcount(j & sig_i) is
+odd. The one transform, ``_walsh_hadamard``, gives sum_i (-1)^popcount(j & sig_i) w_i
+for every j at once; representations and test statistics both use it.
 """
 
 from __future__ import annotations
@@ -132,14 +135,6 @@ def masks_to_bits(masks, n: int) -> np.ndarray:
     return np.unpackbits(raw, axis=-1, count=n, bitorder="little").view(bool)
 
 
-def masks_to_bit_columns(masks, n: int) -> np.ndarray:
-    """``masks_to_bits(masks, n).T`` for Python-int masks as a C-order (n, len) array, transposed while packed."""
-    packed = np.ascontiguousarray(masks_to_words(masks, n).view(np.uint8).T)  # row b: byte b of every mask
-    # unpacking each byte along a new middle axis puts its bit k in row 8b + k
-    bits = np.unpackbits(packed[:, None, :], axis=1, bitorder="little")
-    return bits.reshape(8 * len(packed), len(masks))[:n].view(bool)
-
-
 def bits_to_words(bits) -> np.ndarray:
     """Inverse of ``masks_to_bits`` for a (..., n) array of bits (nonzero = set): (..., ceil(n / 64)) words."""
     packed = np.packbits(np.asarray(bits, dtype=bool), axis=-1, bitorder="little")
@@ -246,6 +241,16 @@ def _rref_basis(masks: Iterable[int]) -> list[int]:
                 basis[q] = b ^ v
         basis[p] = v
     return [basis[p] for p in sorted(basis)]
+
+
+def _walsh_hadamard(b: np.ndarray) -> np.ndarray:
+    """Entry j is sum_s (-1)^popcount(j & s) b[s] for len(b) = 2^k; stage t signs index bit t. Overwrites b."""
+    out, h = np.empty_like(b), len(b) // 2
+    for _ in range(len(b).bit_length() - 1):
+        np.add(b[0::2], b[1::2], out=out[:h])
+        np.subtract(b[0::2], b[1::2], out=out[h:])
+        b, out = out, b
+    return b
 
 
 def _enumerate_span(basis_masks: Sequence[int]) -> list[int]:

@@ -21,8 +21,8 @@ from .flipcore import (
     SignFlipElement,
     SignFlipSubgroup,
     _enumerate_span,
+    _walsh_hadamard,
     extend,
-    masks_to_bit_columns,
     masks_to_bits,
     negation,
 )
@@ -36,7 +36,7 @@ class TrivialSubgroupError(ValueError):
     """Leak summary requested for the order-1 subgroup, where delta is undefined."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Direction:
     """A unit n-vector, the direction the location signal enters through."""
 
@@ -73,21 +73,23 @@ class Direction:
         return cls(len(v), v)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MatrixRepresentation:
     """The n x M array with columns S iota; column 0 is always iota itself.
 
     This is the universal test-execution format: evaluating the invariance
     test only needs the inner products of the columns with the data.
-    ``iota`` is a read-only contiguous copy of column 0. ``signatures``, set
-    only by ``matrix_representation``, gives column j = iota_i (-1)^popcount(j & signatures[i]).
+    ``iota`` is a read-only contiguous copy of column 0. ``signatures`` is
+    set only by ``matrix_representation``, which writes the columns from
+    it: column j = iota_i (-1)^popcount(j & signatures[i]). A hand-built
+    representation has none. Equality is identity.
     """
 
     n: int
     M: int
     columns: np.ndarray  # shape (n, M)
-    iota: np.ndarray = field(init=False, repr=False, compare=False)
-    signatures: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    iota: np.ndarray = field(init=False, repr=False)
+    signatures: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         cols = self.columns
@@ -193,29 +195,32 @@ def leak_summary(s: SignFlipSubgroup | MatrixRepresentation, iota: Direction | N
 def matrix_representation(s: SignFlipSubgroup, iota: Direction | None = None) -> MatrixRepresentation:
     """Columns S iota in canonical element order; column 0 equals iota.
 
-    Requires distinct columns, which is guaranteed when delta < 1 or iota
-    has no zero coordinate.
+    Requires the canonical element order that ``span`` gives, and distinct
+    columns, guaranteed when delta < 1 or iota has no zero coordinate.
     """
     if iota is None:
         iota = Direction.uniform(s.n)
     if s.n != iota.n:
         raise DimensionMismatchError(f"subgroup n={s.n} != direction n={iota.n}")
-    bits = masks_to_bit_columns(masks := s.element_masks(), s.n)
-    coords = iota.coords[:, None]
-    # columns j and k collide iff the element m_j ^ m_k flips only zero
-    # coordinates of iota, i.e. iff some non-identity element does
-    if not np.all(np.any(bits[:, 1:] & (coords != 0), axis=0)):
-        raise ValueError(
-            "duplicate columns: need delta < 1 or an iota without zero coordinates"
-        )
-    cols = np.where(bits, -coords, coords)  # C-order (n, M), written once
+    n, M, masks = s.n, s.order, s.element_masks()
+    rows = [masks[1 << b] for b in range(M.bit_length() - 1)]
+    if _enumerate_span(rows) != masks:
+        raise ValueError("element j must be the XOR of elements 1, 2, 4, ... at the set bits of j")
+    signatures = masks_to_bits(rows, n).T @ (1 << np.arange(len(rows)))  # bit b: element 1 << b flips i
+    signatures.flags.writeable = False
+    # columns j and k collide iff element j ^ k flips only zero coordinates of iota,
+    # i.e. iff its Walsh coefficient over the nonzero ones equals the identity's
+    w = _walsh_hadamard(np.bincount(signatures[iota.coords != 0], minlength=M))
+    if np.any(w[1:] == w[0]):
+        raise ValueError("duplicate columns: need delta < 1 or an iota without zero coordinates")
+    cols = np.empty((n, M))
+    cols[:, 0] = iota.coords
+    for b in range(len(rows)):  # column j + 2^b is column j, negated where bit b of sig_i is set
+        h = 1 << b
+        np.multiply(cols[:, :h], np.where(signatures >> b & 1, -1.0, 1.0)[:, None], out=cols[:, h : 2 * h])
     cols.flags.writeable = False  # so MatrixRepresentation keeps it without a copy
-    rep = MatrixRepresentation(s.n, s.order, cols)
-    powers = 1 << np.arange(s.order.bit_length() - 1)
-    if _enumerate_span([masks[p] for p in powers]) == masks:  # element j is the XOR of rows 1 << b, b in j
-        signatures = bits[:, powers] @ powers
-        signatures.flags.writeable = False
-        object.__setattr__(rep, "signatures", signatures)
+    rep = MatrixRepresentation(n, M, cols)
+    object.__setattr__(rep, "signatures", signatures)
     return rep
 
 

@@ -127,24 +127,24 @@ def _t_rejects(X: np.ndarray, iota: np.ndarray, alpha: float, side: str) -> np.n
     return np.abs(z) >= beta_sym_quantile(1.0 - alpha / 2.0, n)
 
 
-def _resolve_columns(test_id: str, n: int, M: int, iota: Direction, subgroup_reps: dict) -> np.ndarray:
-    """Matrix-representation columns for the subgroup-style test ids."""
+def _resolve_rep(test_id: str, n: int, M: int, iota: Direction, subgroup_reps: dict) -> MatrixRepresentation:
+    """The matrix representation of a subgroup-style test id."""
     if test_id == "oracle-signflip":
         k = M.bit_length() - 1
         if (1 << k) != M:
             raise ValueError(f"oracle-signflip needs a power-of-two M, got {M}")
         if not iota.is_uniform:
             raise ValueError("oracle-signflip requires the uniform direction")
-        return matrix_representation(oracle_signflip(n, k), iota).columns
+        return matrix_representation(oracle_signflip(n, k), iota)
     if test_id == "oracle-orthogonal":
-        return oracle_orthogonal(n, M, iota).columns
+        return oracle_orthogonal(n, M, iota)
     name = test_id.split(":", 1)[1]
     rep = subgroup_reps[name]
     if not isinstance(rep, MatrixRepresentation):
         rep = matrix_representation(rep, iota)
     if rep.n != n:
         raise ValueError(f"subgroup {name!r} has n={rep.n}, expected {n}")
-    return rep.columns
+    return rep
 
 
 def _rejects_for(
@@ -166,9 +166,9 @@ def _rejects_for(
             test_id, X, side, iota=iota.coords, M=M, replacement=mc_mode, sigma=sigma, rng=rng
         )
         return counts / M <= alpha
-    cols = _resolve_columns(test_id, X.shape[1], M, iota, subgroup_reps)
-    counts, _obs = exceed_counts("subgroup", X, side, columns=cols)
-    return counts / cols.shape[1] <= alpha
+    rep = _resolve_rep(test_id, X.shape[1], M, iota, subgroup_reps)
+    counts, _obs = exceed_counts("subgroup", X, side, rep=rep)
+    return counts / rep.M <= alpha
 
 
 def power_table(config: SimConfig, side: str = "one") -> SimReport:
@@ -221,7 +221,7 @@ def consistency_probe(
     for lo in range(0, reps, 1 << 16):
         c = min(1 << 16, reps - lo)
         X = snr * iota + _noise(rng, c, rep_subgroup.n, "fixed-norm-sphere", 1.0, 1.0)
-        counts, _obs = exceed_counts("subgroup", X, columns=rep_subgroup.columns)
+        counts, _obs = exceed_counts("subgroup", X, rep=rep_subgroup)
         count += int(np.count_nonzero(counts / M <= alpha))
     return {"all_rejected": count == reps, "count": count, "replications": reps}
 
@@ -235,7 +235,7 @@ def _sphere_cells(n: int, M: int, rep: MatrixRepresentation, snr_grid, reps: int
     for i, snr in enumerate(snr_grid):
         rng = _cell_rng(seed, i)
         X = float(snr) * rep.iota + _noise(rng, reps, n, "fixed-norm-sphere", 1.0, 1.0)
-        sub_counts, _obs = exceed_counts("subgroup", X, columns=rep.columns)
+        sub_counts, _obs = exceed_counts("subgroup", X, rep=rep)
         mc_counts, _obs = exceed_counts("mc-orthogonal", X, iota=rep.iota, M=M, rng=rng)
         sub_rej, mc_rej = sub_counts / M <= alpha, mc_counts / M <= alpha
         sub, mc = float(np.mean(sub_rej)), float(np.mean(mc_rej))
@@ -283,7 +283,6 @@ def pvalue_variability(
     if rep_subgroup.n != n or rep_subgroup.M != M:
         raise ValueError("representation does not match the requested n, M")
     iota = Direction.uniform(n)
-    cols = rep_subgroup.columns
     rng = _cell_rng(seed, 0)
     var_sub = np.empty(n_datasets)
     var_mc = np.empty(n_datasets)
@@ -291,7 +290,7 @@ def pvalue_variability(
         x = mu + rng.standard_normal(n)
         tiled = np.tile(x, (n_resamples, 1))
         perms = rng.permuted(tiled, axis=1)
-        sub, _obs = exceed_counts("subgroup", perms, columns=cols)
+        sub, _obs = exceed_counts("subgroup", perms, rep=rep_subgroup)
         mc, _obs = exceed_counts("mc-signflip", tiled, iota=iota.coords, M=M, replacement="with", rng=rng)
         var_sub[d] = np.var(sub / M)
         var_mc[d] = np.var(mc / M)

@@ -2,7 +2,7 @@
 
 All finite tests share one execution path, ``exceed_counts``: it maps a
 batch of datasets X (reps x n) to exceed counts for one transformation
-family (subgroup columns, MC sign-flip, MC orthogonal, MC z), and a single
+family (a representation, MC sign-flip, MC orthogonal, MC z), and a single
 dataset is the batch at reps = 1. The statistic of a transformation is an
 inner product with the data, and the p-value is the fraction of the M
 transformations, the identity included, whose statistic reaches the
@@ -19,9 +19,9 @@ two-sided tie S may instead equal iota'x, which is computed apart, and
 the miss is at most (2n + 2k + 1) eps/2 ||x||_2 for a pattern of k set
 bits, below tau for k < n. The one pattern with k = n, g = -I, is
 replaced by the identity, whose two-sided statistic is the same and exact.
-For a sign-flip subgroup, one dataset's M statistics are the Walsh-Hadamard
-transform of B_s = sum of x_i iota_i over the coordinates i of basis
-signature s, O(n + M log M) work. Each is a tree sum of the n rounded
+For a representation with signatures, one dataset's M statistics are the
+Walsh-Hadamard transform (in flipcore) of B_s = sum of x_i iota_i over
+sig_i = s, O(n + M log M) work. Each is a tree sum of the n rounded
 products of depth <= (largest bin) + log2 M <= 2n, and a depth-d sum is off
 by at most d eps/2 ||x||_2: by n eps ||x||_2 at most, the bound behind tau.
 The MC sign-flip patterns are drawn as packed mask words by the flipcore
@@ -39,7 +39,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .flipcore import DimensionMismatchError, distinct_masks, masks_to_bits, masks_to_words, random_masks
+from .flipcore import (
+    DimensionMismatchError, _walsh_hadamard, distinct_masks, masks_to_bits, masks_to_words, random_masks,
+)
 from .leak import Direction, MatrixRepresentation
 from .special import beta_sym_cdf
 
@@ -58,7 +60,7 @@ __all__ = [
 _COLUMN_MATCH_TOL = 1e-10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
     """An observation vector together with the direction of interest."""
 
@@ -158,22 +160,12 @@ def _exceed(stats: np.ndarray, obs: np.ndarray, tau: np.ndarray, side: str) -> n
     return (stats >= (obs - tau)[:, None]).sum(axis=1)
 
 
-def _walsh_hadamard(b: np.ndarray) -> np.ndarray:
-    """Entry j is sum_s (-1)^popcount(j & s) b[s] for len(b) = 2^k; stage t signs index bit t. Overwrites b."""
-    out, h = np.empty_like(b), len(b) // 2
-    for _ in range(len(b).bit_length() - 1):
-        np.add(b[0::2], b[1::2], out=out[:h])
-        np.subtract(b[0::2], b[1::2], out=out[h:])
-        b, out = out, b
-    return b
-
-
-def _subgroup_stats(X: np.ndarray, columns: np.ndarray, iota, signatures) -> np.ndarray:
-    """X @ columns, by the binned transform when the columns have ``signatures`` and ``_walsh_pays``."""
-    (reps, n), M = X.shape, columns.shape[1]
-    if signatures is None or not _walsh_pays(reps, n, M):
-        return X @ columns
-    return _walsh_hadamard(np.bincount(signatures, X[0] * iota, M))[None]
+def _subgroup_stats(X: np.ndarray, rep: MatrixRepresentation) -> np.ndarray:
+    """X @ rep.columns, by the binned transform when ``rep`` has signatures and ``_walsh_pays``."""
+    reps, n = X.shape
+    if rep.signatures is None or not _walsh_pays(reps, n, rep.M):
+        return X @ rep.columns
+    return _walsh_hadamard(np.bincount(rep.signatures, X[0] * rep.iota, rep.M))[None]
 
 
 def _signflip_stats(bits: np.ndarray, X: np.ndarray, iota: np.ndarray, obs: np.ndarray) -> np.ndarray:
@@ -186,19 +178,18 @@ def exceed_counts(
     X,
     side: str = "one",
     *,
-    columns: np.ndarray | None = None,
+    rep: MatrixRepresentation | None = None,
     iota: np.ndarray | None = None,
     M: int = 1,
-    signatures: np.ndarray | None = None,
     replacement: str = "without",
     sigma: float = 1.0,
     rng: np.random.Generator | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Exceed counts and observed statistics of every row of X (reps x n) under one finite family.
 
-    ``family`` is "subgroup" (statistics X @ columns, the identity in
-    column 0, or their Walsh-Hadamard form given a representation's ``iota``
-    and ``signatures``), "mc-signflip" (M - 1 random sign patterns of
+    ``family`` is "subgroup" (statistics X @ rep.columns, the identity in
+    column 0, or their Walsh-Hadamard form when ``rep`` has signatures),
+    "mc-signflip" (M - 1 random sign patterns of
     ``iota``, drawn with or without ``replacement``), "mc-orthogonal" (M - 1
     uniform random rotations of ``iota``) or "mc-z" (M - 1 draws of
     N(0, sigma^2) against X @ iota, with tau = 0). Row r's count is the
@@ -213,7 +204,7 @@ def exceed_counts(
     reps, n = X.shape
     tau = np.zeros(reps) if family == "mc-z" else tie_tolerance(X)
     if family == "subgroup":
-        stats = _subgroup_stats(X, columns, iota, signatures)
+        stats = _subgroup_stats(X, rep)
         obs = stats[:, 0]
         counts = _exceed(stats, obs, tau, side)
     else:
@@ -269,9 +260,7 @@ def subgroup_test(data: Dataset, rep: MatrixRepresentation, alpha: float, side: 
         raise DimensionMismatchError(f"representation n={rep.n} != data n={data.n}")
     if np.max(np.abs(rep.iota - data.iota.coords)) > _COLUMN_MATCH_TOL:
         raise ValueError("column 0 of the representation must equal the data's iota")
-    return _finite_result(
-        "subgroup", data.x, rep.M, alpha, side, columns=rep.columns, iota=rep.iota, signatures=rep.signatures
-    )
+    return _finite_result("subgroup", data.x, rep.M, alpha, side, rep=rep)
 
 
 def mc_signflip_test(
@@ -334,11 +323,11 @@ def full_orthogonal_test(data: Dataset, alpha: float, side: str = "one") -> Test
         raise ValueError("x is (numerically) proportional to iota; the test is undefined")
     z = float(proj / np.sqrt(norm2))
     z = min(1.0, max(-1.0, z))
-    if side == "one":
-        p = 1.0 - beta_sym_cdf(z, n)
+    if side == "one":  # the lower tail at -z, so that no p-value is 1 - cdf with its cancellation
+        p = beta_sym_cdf(-z, n)
         obs = proj
     else:
-        p = 2.0 * (1.0 - beta_sym_cdf(abs(z), n))
+        p = 2.0 * beta_sym_cdf(-abs(z), n)
         obs = abs(proj)
     return TestResult(
         p_value=p,

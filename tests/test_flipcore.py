@@ -21,7 +21,6 @@ from nos.flipcore import (
     full_group,
     identity,
     is_subgroup,
-    masks_to_bit_columns,
     masks_to_bits,
     mask_keys,
     masks_to_words,
@@ -157,8 +156,6 @@ def test_mask_bit_codec_roundtrip(n, data):
     masks = data.draw(st.lists(st.integers(min_value=0, max_value=(1 << n) - 1), max_size=8))
     bits = masks_to_bits(masks, n)
     assert bits.shape == (len(masks), n) and bits.dtype == bool
-    columns = masks_to_bit_columns(masks, n)
-    assert columns.flags.c_contiguous and np.array_equal(columns, bits.T)
     signs = (1 - 2 * bits.astype(int)).tolist()
     assert [SignFlipElement(n, m).signs() for m in masks] == [tuple(r) for r in signs]
     assert bits_to_masks(bits) == masks

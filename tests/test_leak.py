@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nos.construct import oracle_orthogonal, oracle_signflip
-from nos.flipcore import SignFlipElement, SignFlipSubgroup, full_group, subgroup_from_basis_masks
+from nos import construct
+from nos.construct import oracle_orthogonal, oracle_signflip, two_sample_oracle
+from nos.flipcore import SignFlipElement, SignFlipSubgroup, full_group, masks_to_bits, subgroup_from_basis_masks
 from nos.leak import (
     Direction,
     MatrixRepresentation,
@@ -191,10 +192,81 @@ def test_only_representations_of_canonical_subgroups_carry_signatures():
     ):
         assert other.signatures is None
         assert np.array_equal(other.iota, other.columns[:, 0])
-    # a subgroup object whose element list is not in canonical order gets none either
+    # a subgroup object whose element list is not in canonical order is refused
     s = oracle_signflip(8, 3)
     shuffled = SignFlipSubgroup(8, s.basis, s.elements[:1] + s.elements[:0:-1])
-    assert matrix_representation(shuffled).signatures is None
+    with pytest.raises(ValueError, match="XOR of elements 1, 2, 4"):
+        matrix_representation(shuffled)
+
+
+def _reference_columns(s, iota):
+    """The representation's columns written mask by mask, as one np.where over the element bits."""
+    return np.where(masks_to_bits(s.element_masks(), s.n).T, -iota.coords[:, None], iota.coords[:, None])
+
+
+def _reference_cases():
+    rng = np.random.default_rng(16)
+    v = rng.standard_normal(200)
+    v[rng.permutation(200)[:40]] = 0.0  # a direction that is 20 % zeros
+    yield "zero-coordinates", _random_subgroup(rng, 200, 8), Direction.from_vector(v, normalize=True)
+    yield "trivial", subgroup_from_basis_masks(9, []), Direction.uniform(9)
+    for n in (63, 64, 65, 130):
+        yield f"n={n}", _random_subgroup(rng, n, 7), Direction.from_vector(rng.standard_normal(n), normalize=True)
+        yield f"n={n}-uniform", _random_subgroup(rng, n, 6), Direction.uniform(n)
+
+
+@pytest.mark.parametrize("case", list(_reference_cases()), ids=lambda c: c[0])
+def test_columns_built_from_signatures_equal_the_elementwise_reference(case):
+    _name, s, iota = case
+    rep = matrix_representation(s, iota)
+    want = _reference_columns(s, iota)
+    assert rep.columns.tobytes() == want.tobytes()  # the same bytes, -0.0 at flipped zero coordinates included
+    assert rep.columns.flags.c_contiguous and not rep.columns.flags.writeable
+    masks = s.element_masks()
+    assert rep.signatures.tolist() == [
+        sum(1 << b for b in range(s.rank) if masks[1 << b] >> i & 1) for i in range(s.n)
+    ]
+
+
+def test_two_sample_oracle_columns_equal_the_elementwise_reference(monkeypatch):
+    seen = []
+    build = construct.matrix_representation
+    monkeypatch.setattr(construct, "matrix_representation", lambda s, iota: seen.append((s, iota)) or build(s, iota))
+    rep = two_sample_oracle(64, 64)
+    (s, iota), = seen
+    assert rep.columns.tobytes() == _reference_columns(s, iota).tobytes()
+
+
+def test_duplicate_columns_rejected_exactly_when_an_element_flips_only_zero_coordinates():
+    rng = np.random.default_rng(5)
+    for trial in range(200):
+        n = int(rng.integers(2, 9))
+        v = rng.standard_normal(n)
+        v[rng.random(n) < 0.4] = 0.0
+        if not v.any():
+            v[0] = 1.0
+        iota = Direction.from_vector(v, normalize=True)
+        s = _random_subgroup(rng, n, int(rng.integers(0, n + 1)))
+        bits = masks_to_bits(s.element_masks()[1:], n)
+        collide = not np.all(np.any(bits & (v != 0), axis=1))
+        if collide:
+            with pytest.raises(ValueError, match="^duplicate columns: need delta < 1 or an iota without zero coordinates$"):
+                matrix_representation(s, iota)
+        else:
+            assert matrix_representation(s, iota).columns.tobytes() == _reference_columns(s, iota).tobytes()
+
+
+def test_matrix_representation_peak_memory_at_n_2048():
+    # the 32 MiB of columns and O(n + M) more: no n x M bit array
+    s = oracle_signflip(2048, 11)
+    matrix_representation(s)
+    tracemalloc.start()
+    try:
+        matrix_representation(s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 33.5 * 2**20
 
 
 def test_negate_closure():

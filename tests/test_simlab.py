@@ -139,7 +139,7 @@ def test_conjecture_probe_difference_se_is_paired():
     rep = oracle_orthogonal(n, M, Direction.uniform(n))
     rng = _cell_rng(6, 1)
     X = 1.0 * rep.iota + _noise(rng, reps, n, "fixed-norm-sphere", 1.0, 1.0)
-    sub = exceed_counts("subgroup", X, columns=rep.columns)[0] / M <= 1 / M
+    sub = exceed_counts("subgroup", X, rep=rep)[0] / M <= 1 / M
     mc = exceed_counts("mc-orthogonal", X, iota=rep.iota, M=M, rng=rng)[0] / M <= 1 / M
     diff = sub.astype(float) - mc
     assert row["power_difference"] == pytest.approx(diff.mean(), abs=1e-12)

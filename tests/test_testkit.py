@@ -195,6 +195,41 @@ def test_full_orthogonal_equals_t_test():
         assert two.p_value == pytest.approx(2 * float(stats.t.sf(abs(t), n - 1)), abs=1e-12)
 
 
+def test_full_orthogonal_p_values_are_tail_exact():
+    # the p-value is the lower tail at -z, never 1 - cdf: relative error against
+    # scipy's t.sf stays near 1e-12 (worst measured 1.3e-12, at n = 1000) down to p = 1e-30
+    smallest = 1.0
+    for n in (3, 5, 10, 50, 200, 1000):
+        rng = np.random.default_rng(n)
+        for shift in np.linspace(0.0, 12.0, 41):
+            data = _dataset(shift + rng.standard_normal(n))
+            t = t_statistic(data)
+            for side, want in (("one", float(stats.t.sf(t, n - 1))), ("two", 2 * float(stats.t.sf(abs(t), n - 1)))):
+                if want < 1e-30:
+                    continue
+                smallest = min(smallest, want)
+                assert full_orthogonal_test(data, 0.05, side).p_value == pytest.approx(want, rel=1e-11, abs=0)
+    assert smallest < 1e-29
+    # 1 - cdf gave 0.0 here on both sides
+    data = _dataset(3 + np.random.default_rng(3).standard_normal(50))
+    assert full_orthogonal_test(data, 0.05).p_value == pytest.approx(6.2318e-25, rel=1e-4)
+    assert full_orthogonal_test(data, 0.05, "two").p_value == pytest.approx(1.2464e-24, rel=1e-4)
+
+
+def test_array_holding_dataclasses_compare_by_identity():
+    iota = Direction.uniform(8)
+    rep = matrix_representation(oracle_signflip(8, 2), iota)
+    data = Dataset(8, np.ones(8), iota)
+    for a, b in (
+        (iota, Direction.uniform(8)),
+        (rep, matrix_representation(oracle_signflip(8, 2), iota)),
+        (data, Dataset(8, np.ones(8), iota)),
+    ):
+        assert a == a and not a != a
+        assert a != b and not a == b  # equal contents, distinct objects
+        assert hash(a) == hash(a) and len({a, b}) == 2
+
+
 def test_full_orthogonal_closed_form_has_no_counts():
     res = full_orthogonal_test(_dataset([1.0, 0.2, -0.4]), alpha=0.1)
     assert res.exceed_count is None and res.total is None
@@ -289,7 +324,7 @@ def test_exceed_count_is_exact_on_integer_data(n, side):
     if side == "two":
         exact = np.abs(exact)
     want = np.count_nonzero(exact >= exact[:, :1], axis=1)
-    batched, _obs = exceed_counts("subgroup", X, side, columns=rep.columns)
+    batched, _obs = exceed_counts("subgroup", X, side, rep=rep)
     single = [subgroup_test(_dataset(x), rep, 0.05, side).exceed_count for x in X]
     assert np.array_equal(batched, want)
     assert np.array_equal(single, want)
@@ -320,13 +355,14 @@ def test_walsh_path_matches_the_dense_product(case, side, monkeypatch):
     # forced onto the transform at every shape: each statistic within n eps ||x||_2 of
     # the dense column's, and every count equal to the dense kernel's
     _name, rep, X = case
+    dense_rep = MatrixRepresentation(rep.n, rep.M, rep.columns)
     monkeypatch.setattr(testkit, "_walsh_pays", lambda reps, n, M: True)
     for x in X:
-        walsh = testkit._subgroup_stats(x[None], rep.columns, rep.iota, rep.signatures)[0]
+        walsh = testkit._subgroup_stats(x[None], rep)[0]
         dense = x @ rep.columns
         assert np.all(np.abs(walsh - dense) <= rep.n * np.finfo(float).eps * np.linalg.norm(x))
-        got, obs = exceed_counts("subgroup", x, side, columns=rep.columns, iota=rep.iota, signatures=rep.signatures)
-        want, _obs = exceed_counts("subgroup", x, side, columns=rep.columns)
+        got, obs = exceed_counts("subgroup", x, side, rep=rep)
+        want, _obs = exceed_counts("subgroup", x, side, rep=dense_rep)
         assert got[0] == want[0] and obs[0] == (abs(walsh[0]) if side == "two" else walsh[0])
         if np.array_equal(x, np.rint(x)) and np.ptp(np.abs(rep.iota)) == 0:  # +-1/sqrt(n) columns: exact ties
             exact = x @ np.rint(rep.columns * math.sqrt(rep.n))
@@ -339,11 +375,12 @@ def test_walsh_path_matches_the_dense_product(case, side, monkeypatch):
 def test_walsh_path_at_n_2048_matches_the_dense_product(side):
     # the shape that takes the transform unforced; integer rows tie exactly
     rep = matrix_representation(oracle_signflip(2048, 11))
+    dense_rep = MatrixRepresentation(rep.n, rep.M, rep.columns)
     X = 0.05 + np.random.default_rng(2048).standard_normal((6, 2048))
     X[::2] = np.rint(X[::2])
     for x in X:
         res = subgroup_test(_dataset(x), rep, 1 / 64, side)
-        want, obs = exceed_counts("subgroup", x, side, columns=rep.columns)
+        want, obs = exceed_counts("subgroup", x, side, rep=dense_rep)
         assert res.exceed_count == want[0]
         assert abs(res.statistic - obs[0]) <= 2048 * np.finfo(float).eps * np.linalg.norm(x)
 
@@ -357,7 +394,7 @@ def test_walsh_path_runs_only_where_the_rule_sends_it(monkeypatch):
     res = subgroup_test(_dataset(x), rep, 1 / 64)
     assert calls == [2048]
     # a batch, and hand-built or column-permuted copies of the same columns, stay dense
-    exceed_counts("subgroup", np.stack([x, x]), columns=rep.columns, iota=rep.iota, signatures=rep.signatures)
+    exceed_counts("subgroup", np.stack([x, x]), rep=rep)
     perm = np.r_[0, np.random.default_rng(4).permutation(np.arange(1, 2048))]
     for other in (MatrixRepresentation(2048, 2048, rep.columns), MatrixRepresentation(2048, 2048, rep.columns[:, perm])):
         again = subgroup_test(_dataset(x), other, 1 / 64)
