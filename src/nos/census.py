@@ -35,7 +35,7 @@ from .construct import two_adic_valuation
 from .flipcore import (
     SignFlipSubgroup, _enumerate_span, _rref_basis, masks_to_bits, subgroup_from_basis_masks
 )
-from .leak import Direction, _general_leaks
+from .leak import Direction, _leak_spectrum
 
 #: above this dimension enumeration will not finish at desk scale
 ENUMERATION_GUARD_N = 12
@@ -214,14 +214,15 @@ def leak_census(
     if rank is not None and not 0 <= rank <= n:
         raise ValueError(f"rank {rank} outside [0, {n}]")
     uniform = iota is None or iota.is_uniform
-    masks = np.arange(1 << n)[:, None]
     if uniform:
         # flip counts: the scaled leak is n - 2 * count
-        table = masks_to_bits(masks, n).sum(axis=1, dtype=np.int8)
+        table = masks_to_bits(np.arange(1 << n)[:, None], n).sum(axis=1, dtype=np.int8)
         enumerated = sorted({min(p, n - p) for p in ranks})
     else:
+        # mask j of the full group is element j: coordinate i's signature is 1 << i
+        w, q = _leak_spectrum(1 << np.arange(n), 1 << n, iota)
         # + 0.0 turns the -0.0 that rounding leaves of a tiny negative leak into 0.0
-        leaks = np.round(n * np.array(_general_leaks(masks, iota)), 10) + 0.0
+        leaks = np.round(n * np.array([v / q for v in w]), 10) + 0.0
         # small integer codes in the order of the leaks keep the key table narrow
         values, table = np.unique(leaks, return_inverse=True)
         table = table.astype(np.min_scalar_type(len(values) - 1))

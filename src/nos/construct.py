@@ -233,10 +233,10 @@ def two_sample_oracle(m1: int, m2: int, base: SignFlipSubgroup | None = None) ->
             stacklevel=2,
         )
     rep = matrix_representation(sub, iota)
-    # entries are +-1/sqrt(n), so a column has zero leak against the contrast
-    # exactly when it agrees in sign with iota on half the coordinates
-    agree = masks_to_bits(sub.element_masks()[1:], n) == (iota.coords < 0)
-    bad = np.flatnonzero(2 * agree.sum(axis=1) != n)
+    # entries are +-1/sqrt(n), so a column is a rearrangement of the contrast (a permutation
+    # image of iota) iff n / 2 of them are positive; the base check above gave zero leak
+    positive = masks_to_bits(sub.element_masks()[1:], n) == (iota.coords < 0)
+    bad = np.flatnonzero(2 * positive.sum(axis=1) != n)
     if len(bad):
-        raise AssertionError(f"column {bad[0] + 1} has nonzero leak against the contrast")
+        raise AssertionError(f"column {bad[0] + 1} is not a rearrangement of the contrast")
     return rep

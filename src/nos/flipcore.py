@@ -20,7 +20,7 @@ and ``distinct_masks`` (without replacement, outside a set of masks).
 A subgroup of order 2^k also has a k-bit signature per coordinate i (bit b
 set iff element 2^b flips i); element j flips i iff popcount(j & sig_i) is
 odd. The one transform, ``_walsh_hadamard``, gives sum_i (-1)^popcount(j & sig_i) w_i
-for every j at once; representations and test statistics both use it.
+for every j at once; representations, leaks and test statistics use it.
 """
 
 from __future__ import annotations

@@ -4,9 +4,11 @@ For a subgroup (or subset) S of orthonormal matrices and a unit vector
 iota, the "leak" of an element is iota'S iota; the subgroup-level
 quantities delta (max over non-identity elements) and delta_abs (max
 absolute value) govern the consistency threshold of the associated
-invariance test. For the uniform direction the leak of a sign-flip mask
-with k flipped coordinates is exactly (n - 2k)/n, so everything is
-computed in integer arithmetic on the n-scaled axis.
+invariance test. Element j of a canonical subgroup flips coordinate i
+iff popcount(j & sig_i) is odd, so its leak is entry j of the
+Walsh-Hadamard transform of iota's squares binned by signature. The
+transform runs on exact integers, so on every direction each leak is
+the exact sum rounded once: (n - 2k)/n for k flips on the uniform one.
 """
 
 from __future__ import annotations
@@ -28,8 +30,6 @@ from .flipcore import (
 )
 
 _UNIT_NORM_TOL = 1e-12
-#: tolerance when comparing leak values computed from floats (general iota)
-GENERAL_IOTA_TOL = 1e-10
 
 
 class TrivialSubgroupError(ValueError):
@@ -133,63 +133,60 @@ def leak_value(s: SignFlipElement, iota: Direction) -> float:
     """iota' S iota for a single sign-flip element."""
     if s.n != iota.n:
         raise DimensionMismatchError(f"element n={s.n} != direction n={iota.n}")
+    w, q = _leak_spectrum(masks_to_bits([s.mask], s.n)[0].view(np.uint8), 2, iota)
+    return w[1] / q
+
+
+def _signatures(s: SignFlipSubgroup) -> np.ndarray:
+    """Bit b of entry i is set iff element 1 << b flips coordinate i; needs the canonical element order."""
+    masks = s.element_masks()
+    rows = [masks[1 << b] for b in range(s.order.bit_length() - 1)]
+    if _enumerate_span(rows) != masks:
+        raise ValueError("element j must be the XOR of elements 1, 2, 4, ... at the set bits of j")
+    return masks_to_bits(rows, s.n).T @ (1 << np.arange(len(rows)))
+
+
+def _leak_spectrum(signatures: np.ndarray, M: int, iota: Direction) -> tuple[list[int], int]:
+    """Ints W, q with W[j] / q element j's leak: W transforms the weights q iota_i^2 binned by signature.
+
+    The uniform direction has weight 1 and q = n. Any other puts its squares' exact binary fractions
+    over their common denominator; int division then rounds W[j] / q once, as math.fsum does.
+    """
     if iota.is_uniform:
-        return (s.n - 2 * s.flip_count()) / s.n
-    return _general_leaks([s.mask], iota)[0]
-
-
-def _general_leaks(masks: list[int], iota: Direction) -> list[float]:
-    """iota' S iota per mask, each summed exactly with math.fsum."""
-    sq = iota.coords * iota.coords
-    return [math.fsum(row) for row in np.where(masks_to_bits(masks, iota.n), -sq, sq)]
+        return _walsh_hadamard(np.bincount(signatures, minlength=M)).tolist(), iota.n
+    ratios = [v.as_integer_ratio() for v in (iota.coords * iota.coords).tolist()]
+    q = max(d for _, d in ratios)
+    bins = [0] * M
+    for sig, (a, d) in zip(signatures.tolist(), ratios):
+        bins[sig] += a * (q // d)
+    return _walsh_hadamard(np.array(bins, dtype=object)).tolist(), q
 
 
 def leak_summary(s: SignFlipSubgroup | MatrixRepresentation, iota: Direction | None = None) -> LeakSummary:
     """Full leak distribution, delta and delta_abs of a subgroup.
 
-    Accepts either the GF(2) subgroup (with a direction, default uniform)
-    or an existing matrix representation (whose direction is its first
-    column).
+    Accepts either the GF(2) subgroup in canonical order (with a direction,
+    default uniform) or an existing matrix representation (whose direction
+    is its first column).
     """
     if isinstance(s, MatrixRepresentation):
         if s.M < 2:
             raise TrivialSubgroupError("leak is undefined for an order-1 subgroup")
-        vals = s.iota @ s.columns
-        others = vals[1:]
-        dist = tuple(float(v) for v in vals)
-        return LeakSummary(
-            delta=float(np.max(others)),
-            delta_abs=float(np.max(np.abs(others))),
-            distribution=dist,
-            scaled_distribution=tuple(s.n * v for v in dist),
-        )
-
-    if iota is None:
-        iota = Direction.uniform(s.n)
-    if s.n != iota.n:
-        raise DimensionMismatchError(f"subgroup n={s.n} != direction n={iota.n}")
-    if s.order < 2:
-        raise TrivialSubgroupError("leak is undefined for the trivial subgroup")
-    n = s.n
-    if iota.is_uniform:
-        scaled = tuple(n - 2 * e.flip_count() for e in s.elements)
-        others = scaled[1:]
-        delta = max(others) / n
-        delta_abs = max(abs(v) for v in others) / n
-        return LeakSummary(
-            delta=delta,
-            delta_abs=delta_abs,
-            distribution=tuple(v / n for v in scaled),
-            scaled_distribution=scaled,
-        )
-    vals = _general_leaks(s.element_masks(), iota)
-    others = vals[1:]
-    return LeakSummary(
-        delta=max(others),
-        delta_abs=max(abs(v) for v in others),
-        distribution=tuple(vals),
-        scaled_distribution=tuple(n * v for v in vals),
-    )
+        dist = tuple(float(v) for v in s.iota @ s.columns)
+        scaled = tuple(s.n * v for v in dist)
+    else:
+        if iota is None:
+            iota = Direction.uniform(s.n)
+        if s.n != iota.n:
+            raise DimensionMismatchError(f"subgroup n={s.n} != direction n={iota.n}")
+        if s.order < 2:
+            raise TrivialSubgroupError("leak is undefined for the trivial subgroup")
+        w, q = _leak_spectrum(_signatures(s), s.order, iota)
+        dist = tuple(v / q for v in w)
+        # the uniform direction's spectrum is its scaled leaks themselves, exact ints (q = n)
+        scaled = tuple(w) if iota.is_uniform else tuple(s.n * v for v in dist)
+    others = dist[1:]
+    return LeakSummary(max(others), max(abs(v) for v in others), dist, scaled)
 
 
 def matrix_representation(s: SignFlipSubgroup, iota: Direction | None = None) -> MatrixRepresentation:
@@ -202,11 +199,7 @@ def matrix_representation(s: SignFlipSubgroup, iota: Direction | None = None) ->
         iota = Direction.uniform(s.n)
     if s.n != iota.n:
         raise DimensionMismatchError(f"subgroup n={s.n} != direction n={iota.n}")
-    n, M, masks = s.n, s.order, s.element_masks()
-    rows = [masks[1 << b] for b in range(M.bit_length() - 1)]
-    if _enumerate_span(rows) != masks:
-        raise ValueError("element j must be the XOR of elements 1, 2, 4, ... at the set bits of j")
-    signatures = masks_to_bits(rows, n).T @ (1 << np.arange(len(rows)))  # bit b: element 1 << b flips i
+    n, M, signatures = s.n, s.order, _signatures(s)
     signatures.flags.writeable = False
     # columns j and k collide iff element j ^ k flips only zero coordinates of iota,
     # i.e. iff its Walsh coefficient over the nonzero ones equals the identity's
@@ -215,7 +208,7 @@ def matrix_representation(s: SignFlipSubgroup, iota: Direction | None = None) ->
         raise ValueError("duplicate columns: need delta < 1 or an iota without zero coordinates")
     cols = np.empty((n, M))
     cols[:, 0] = iota.coords
-    for b in range(len(rows)):  # column j + 2^b is column j, negated where bit b of sig_i is set
+    for b in range(M.bit_length() - 1):  # column j + 2^b is column j, negated where bit b of sig_i is set
         h = 1 << b
         np.multiply(cols[:, :h], np.where(signatures >> b & 1, -1.0, 1.0)[:, None], out=cols[:, h : 2 * h])
     cols.flags.writeable = False  # so MatrixRepresentation keeps it without a copy

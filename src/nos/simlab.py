@@ -47,6 +47,17 @@ def _se(phat: float, reps: int) -> float:
     return float(np.sqrt(phat * (1.0 - phat) / reps))
 
 
+def _check_test_id(test_id, n: int, subgroup_reps: dict) -> None:
+    """Refuse an unknown id, and a subgroup:<name> whose name is missing or whose n is not n."""
+    if test_id in _KNOWN_TESTS:
+        return
+    kind, _, name = str(test_id).partition(":")
+    if kind != "subgroup" or name not in subgroup_reps:
+        raise ValueError(f"unknown test id {test_id!r}")
+    if subgroup_reps[name].n != n:
+        raise ValueError(f"subgroup {name!r} has n={subgroup_reps[name].n}, expected {n}")
+
+
 @dataclass
 class SimConfig:
     """Settings of one power-table run."""
@@ -76,8 +87,7 @@ class SimConfig:
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha={self.alpha} outside (0, 1)")
         for t in self.tests:
-            if t not in _KNOWN_TESTS and not str(t).startswith("subgroup:"):
-                raise ValueError(f"unknown test id {t!r}")
+            _check_test_id(t, self.n, self.subgroup_reps)
         for M in self.M_values:
             if abs(self.alpha * M - round(self.alpha * M)) > 1e-9:
                 warnings.warn(
@@ -138,13 +148,8 @@ def _resolve_rep(test_id: str, n: int, M: int, iota: Direction, subgroup_reps: d
         return matrix_representation(oracle_signflip(n, k), iota)
     if test_id == "oracle-orthogonal":
         return oracle_orthogonal(n, M, iota)
-    name = test_id.split(":", 1)[1]
-    rep = subgroup_reps[name]
-    if not isinstance(rep, MatrixRepresentation):
-        rep = matrix_representation(rep, iota)
-    if rep.n != n:
-        raise ValueError(f"subgroup {name!r} has n={rep.n}, expected {n}")
-    return rep
+    rep = subgroup_reps[test_id.split(":", 1)[1]]
+    return rep if isinstance(rep, MatrixRepresentation) else matrix_representation(rep, iota)
 
 
 def _rejects_for(
@@ -314,12 +319,12 @@ def size_audit(
     subgroup_reps: dict | None = None,
 ) -> float:
     """Null rejection rate of one test; must not exceed alpha materially."""
+    subgroup_reps = subgroup_reps or {}
+    _check_test_id(test_id, n, subgroup_reps)
     iota = Direction.uniform(n)
     rng = _cell_rng(seed, 0)
     X = _noise(rng, reps, n, "normal", 1.0, 1.0)
-    rej = _rejects_for(
-        test_id, X, iota, M if M is not None else n, alpha, side, mc_mode, 1.0, rng, subgroup_reps or {}
-    )
+    rej = _rejects_for(test_id, X, iota, M if M is not None else n, alpha, side, mc_mode, 1.0, rng, subgroup_reps)
     return float(np.mean(rej))
 
 

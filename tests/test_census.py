@@ -23,6 +23,7 @@ from nos.census import (
 )
 from nos.flipcore import is_subgroup, subgroup_from_basis_masks
 from nos.leak import Direction, leak_summary
+from test_leak import _fsum_leaks
 
 
 def test_gaussian_binomial_small_values():
@@ -113,19 +114,18 @@ def test_leak_census_counts_match_brute_force_on_general_direction():
     report = leak_census(5, iota=iota, rank=2)
     keys = set()
     for s in enumerate_subgroups(5, 2):
-        summ = leak_summary(s, iota)
-        keys.add(tuple(round(v, 10) for v in sorted(summ.scaled_distribution)))
+        keys.add(tuple(round(5 * v, 10) for v in sorted(_fsum_leaks(s.element_masks(), iota))))
     assert report.distinct_counts[2] == len(keys)
 
 
 def _census_by_subgroup(n, iota):
-    """Reference census report: every subgroup's leak summary, keyed by its rounded sorted distribution."""
+    """Reference census report: every subgroup's fsum leaks, keyed by their rounded sorted n-scaled values."""
     subgroup_counts, distinct_counts, representatives = {}, {}, []
     for p in range(n + 1):
         found = {}
         for s in enumerate_subgroups(n, p):
             subgroup_counts[p] = subgroup_counts.get(p, 0) + 1
-            key = tuple(np.round(sorted(leak_summary(s, iota).scaled_distribution), 10)) if p else (n,)
+            key = tuple(np.round(sorted(n * v for v in _fsum_leaks(s.element_masks(), iota)), 10)) if p else (n,)
             found.setdefault(key, s)
         distinct_counts[p] = len(found)
         for key, s in sorted(found.items()):

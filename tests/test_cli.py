@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from nos import simlab
 from nos.cli import EXIT_INFEASIBLE, EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
 from nos.io import read_subgroup
 
@@ -180,6 +181,22 @@ def test_power_curve_command(capsys):
     assert code == EXIT_OK
     payload = _json(stdout)
     assert payload["curve"][1]["subgroup_power"] == 1.0
+
+
+def test_power_curve_default_subgroup_needs_power_of_two_M(capsys):
+    code, stdout, err = _run(capsys, "power-curve", "--n", "10", "--M", "10", "--reps", "10")
+    assert code == EXIT_INFEASIBLE and stdout == ""
+    assert err == "error: default oracle subgroup needs power-of-two M, got 10\n"
+
+
+def test_simulate_unknown_named_subgroup_runs_no_cell(capsys, monkeypatch):
+    monkeypatch.setattr(simlab, "_rejects_for", lambda *a: pytest.fail("a cell ran"))
+    code, stdout, err = _run(
+        capsys, "simulate", "--n", "16", "--mu", "0", "--M", "16", "--tests", "t", "subgroup:foo",
+        "--reps", "100", "--alpha", "0.0625",
+    )
+    assert code == EXIT_VALIDATION and stdout == ""
+    assert err == "error: unknown test id 'subgroup:foo'\n"
 
 
 def test_pvar_command(capsys):

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nos import construct
-from nos.construct import oracle_orthogonal, oracle_signflip, two_sample_oracle
+from nos.construct import iota_two_sample, oracle_orthogonal, oracle_signflip, two_adic_valuation, two_sample_oracle
 from nos.flipcore import SignFlipElement, SignFlipSubgroup, full_group, masks_to_bits, subgroup_from_basis_masks
 from nos.leak import (
     Direction,
@@ -64,7 +64,72 @@ def test_leak_value_uniform_is_exact():
 def test_leak_value_general_direction():
     iota = Direction(3, np.array([0.6, 0.8, 0.0]))
     e = SignFlipElement(3, 0b001)  # flips the first coordinate
-    assert leak_value(e, iota) == pytest.approx(-0.36 + 0.64, abs=1e-15)
+    assert leak_value(e, iota) == math.fsum([-0.6 * 0.6, 0.8 * 0.8, 0.0])
+
+
+def _fsum_leaks(masks, iota):
+    """iota' S iota per mask, each summed exactly with math.fsum: the reference for the leak kernel."""
+    sq = iota.coords * iota.coords
+    return [math.fsum(row) for row in np.where(masks_to_bits(masks, iota.n), -sq, sq)]
+
+
+def _reference_summary(s, iota):
+    """distribution, scaled distribution, delta and delta_abs; exact ints n - 2k on the uniform direction."""
+    n = s.n
+    if iota.is_uniform:
+        scaled = [n - 2 * m.bit_count() for m in s.element_masks()]
+        return [v / n for v in scaled], scaled, max(scaled[1:]) / n, max(abs(v) for v in scaled[1:]) / n
+    dist = _fsum_leaks(s.element_masks(), iota)
+    return dist, [n * v for v in dist], max(dist[1:]), max(abs(v) for v in dist[1:])
+
+
+def _kernel_cases():
+    rng = np.random.default_rng(17)
+    for t in range(280):
+        n = int(rng.integers(2, 131))
+        s = _random_subgroup(rng, n, int(rng.integers(1, min(n, 7) + 1)))
+        if s.order < 2:
+            continue
+        v = rng.standard_normal(n)
+        if t % 4 == 1:
+            v[rng.random(n) < 0.3] = 0.0  # zero coordinates
+            v[0] = 1.0
+        elif t % 4 == 2:
+            v = np.abs(v)  # all positive
+        yield s, Direction.uniform(n) if t % 4 == 3 else Direction.from_vector(v, normalize=True), False
+    for n in list(range(4, 65, 2)) + [128, 192, 256]:  # the two-sample contrast against oracle subgroups
+        yield oracle_signflip(n, two_adic_valuation(n)), iota_two_sample(n // 2, n // 2), True
+
+
+def _hexes(vals):
+    return [(type(v), float(v).hex()) for v in vals]
+
+
+def test_leak_summary_equals_the_fsum_reference_bit_for_bit():
+    cases = list(_kernel_cases())
+    assert len(cases) >= 300
+    for i, (s, iota, contrast) in enumerate(cases):
+        summ = leak_summary(s, iota)
+        dist, scaled, delta, delta_abs = _reference_summary(s, iota)
+        assert _hexes(summ.distribution) == _hexes(dist), i
+        assert _hexes(summ.scaled_distribution) == _hexes(scaled), i
+        assert (summ.delta.hex(), summ.delta_abs.hex()) == (delta.hex(), delta_abs.hex()), i
+        if contrast:
+            assert summ.distribution[1:] == (0.0,) * (s.order - 1)  # the squares cancel exactly
+
+
+def test_leak_summary_peak_memory_general_direction_at_n_2048():
+    # the spectrum of n binned integer weights: no M x n float expansion (36 MiB before)
+    s = oracle_signflip(2048, 11)
+    iota = Direction.from_vector(np.random.default_rng(11).standard_normal(2048), normalize=True)
+    leak_summary(s, iota)
+    tracemalloc.start()
+    try:
+        leak_summary(s, iota)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 2**20
 
 
 def test_oracle_n2_summary():
@@ -197,6 +262,8 @@ def test_only_representations_of_canonical_subgroups_carry_signatures():
     shuffled = SignFlipSubgroup(8, s.basis, s.elements[:1] + s.elements[:0:-1])
     with pytest.raises(ValueError, match="XOR of elements 1, 2, 4"):
         matrix_representation(shuffled)
+    with pytest.raises(ValueError, match="XOR of elements 1, 2, 4"):
+        leak_summary(shuffled)
 
 
 def _reference_columns(s, iota):

@@ -41,6 +41,38 @@ def test_config_validation():
     assert [w.filename for w in record] == [__file__]
 
 
+def _named_cells(test_id, subgroup_reps):
+    cfg = SimConfig(
+        n=16, mu_grid=(0.0, 1.0), M_values=(16,), tests=(test_id,), replications=2000, alpha=1 / 16,
+        seed=8, subgroup_reps=subgroup_reps,
+    )
+    return [(c["M"], c["mu"], c["power"], c["se"]) for c in power_table(cfg).cells]
+
+
+def test_named_subgroups_run_as_the_oracle_at_the_same_seed():
+    s = oracle_signflip(16, 4)
+    want = _named_cells("oracle-signflip", {})
+    assert 0.0 < want[0][2] < want[1][2]
+    for named in (s, matrix_representation(s)):
+        assert _named_cells("subgroup:o", {"o": named}) == want
+        assert size_audit("subgroup:o", 16, 1 / 16, 2000, seed=3, subgroup_reps={"o": named}) == size_audit(
+            "oracle-signflip", 16, 1 / 16, 2000, seed=3
+        )
+
+
+def test_named_subgroups_are_checked_before_any_cell_runs():
+    with pytest.raises(ValueError, match="^subgroup 'o' has n=8, expected 16$"):
+        _named_cells("subgroup:o", {"o": oracle_signflip(8, 3)})
+    with pytest.raises(ValueError, match="^subgroup 'o' has n=8, expected 16$"):
+        size_audit("subgroup:o", 16, 1 / 16, 10, subgroup_reps={"o": matrix_representation(oracle_signflip(8, 3))})
+    for reps in ({}, {"bar": oracle_signflip(16, 4)}):
+        with pytest.raises(ValueError, match="^unknown test id 'subgroup:foo'$"):
+            SimConfig(n=16, mu_grid=(0.0,), M_values=(16,), tests=("t", "subgroup:foo"), replications=10,
+                      alpha=1 / 16, subgroup_reps=reps)
+        with pytest.raises(ValueError, match="^unknown test id 'subgroup:foo'$"):
+            size_audit("subgroup:foo", 16, 1 / 16, 10, subgroup_reps=reps)
+
+
 def test_power_table_reproducible():
     cfg = SimConfig(
         n=8, mu_grid=(0.0, 0.5), M_values=(8,), tests=("oracle-signflip", "mc-signflip", "t"),
