@@ -12,9 +12,10 @@ instead, by Burnside's lemma over the cycle types of S_n; it enumerates
 nothing, because Birkhoff's formula counts the subgroups each permutation
 fixes in closed form.
 
-For the uniform direction the leak multiset is the weight distribution,
-so a subgroup's key is one int64 (its weight enumerator at 2^p + 1), and
-MacWilliams duality derives ranks above n // 2 from those below.
+A subgroup's key is one int64 (its leak code enumerator at 2^p + 1) for
+any direction with few distinct leaks. For the uniform direction, whose
+leak multiset is the weight distribution, MacWilliams duality derives
+ranks above n // 2 from those below.
 
 The heavy path is one serial loop over pivot sets, vectorized with numpy
 over batches of at most _BATCH_ELEMS group elements; a batch's element
@@ -33,7 +34,7 @@ import numpy as np
 
 from .construct import two_adic_valuation
 from .flipcore import (
-    SignFlipSubgroup, _enumerate_span, _rref_basis, masks_to_bits, subgroup_from_basis_masks
+    SignFlipSubgroup, _enumerate_span, _rref_basis, subgroup_from_basis_masks
 )
 from .leak import Direction, _leak_spectrum
 
@@ -135,7 +136,7 @@ def _sorted_row_keys(table, rows):
 
 
 def _enumerator_keys(lut, rows):
-    """Each subgroup's weight enumerator at R, sum of R^wt(e), with lut[e] = R^wt(e).
+    """Each subgroup's leak code enumerator at R, sum of R^code(e), with lut[e] = R^code(e).
 
     Summed one column at a time, so no (K x 2^p) int64 temporary exists.
     """
@@ -197,17 +198,18 @@ def leak_census(
     representative's ``scaled_distribution`` is listed in descending
     order for the uniform direction and ascending order otherwise.
 
-    For the uniform direction the multiset is the weight distribution
-    (A_0, ..., A_n), and a rank-p key is one int64: the weight enumerator
-    sum_w A_w R^w at R = 2^p + 1, exact while R^(n + 1) <= 2^63 because
-    every A_w <= 2^p < R. That holds for all p <= n // 2 when n <= 11;
-    otherwise the key is the sorted row of flip counts, as the sorted
-    leak codes are for other directions. Only ranks up to n // 2 are
-    enumerated: V -> V-perp maps rank p one to one onto rank n - p and
-    V's weight distribution fixes V-perp's (MacWilliams 1963), so rank
-    n - p has G(n, p) subgroups, as many classes as rank p, and the
-    reduced echelon dual bases of rank p's representatives as its own.
-    Other directions have no such duality and enumerate every rank.
+    Each distinct scaled leak has a code, its rank among them; for the
+    uniform direction code c is the flip count, leak n - 2c. A rank-p key
+    is one int64, the code enumerator sum_c A_c R^c at R = 2^p + 1, exact
+    while R^(number of codes) <= 2^63 because every count A_c <= 2^p < R:
+    so for the uniform direction's n + 1 codes at all p <= n // 2 when
+    n <= 11, and for two-sample contrasts. Otherwise the key is the
+    sorted row of codes. For the uniform direction only ranks up to
+    n // 2 are enumerated: V -> V-perp maps rank p one to one onto rank
+    n - p and V's weight distribution fixes V-perp's (MacWilliams 1963),
+    so rank n - p has G(n, p) subgroups, as many classes as rank p, and
+    the reduced echelon dual bases of rank p's representatives as its
+    own. Other directions have no such duality and enumerate every rank.
     """
     _check_guard(n, allow_large)
     ranks = [rank] if rank is not None else list(range(n + 1))
@@ -215,8 +217,9 @@ def leak_census(
         raise ValueError(f"rank {rank} outside [0, {n}]")
     uniform = iota is None or iota.is_uniform
     if uniform:
-        # flip counts: the scaled leak is n - 2 * count
-        table = masks_to_bits(np.arange(1 << n)[:, None], n).sum(axis=1, dtype=np.int8)
+        # code c is the flip count c, whose scaled leak is n - 2c
+        values = n - 2 * np.arange(n + 1)
+        table = np.bitwise_count(np.arange(1 << n)).astype(np.int8)
         enumerated = sorted({min(p, n - p) for p in ranks})
     else:
         # mask j of the full group is element j: coordinate i's signature is 1 << i
@@ -230,7 +233,7 @@ def leak_census(
 
     classes: dict[int, tuple[int, list]] = {}  # rank -> (subgroups, first basis of each class)
     for p in enumerated:
-        if uniform and (radix := (1 << p) + 1) ** (n + 1) <= 1 << 63:
+        if (radix := (1 << p) + 1) ** len(values) <= 1 << 63:
             key_fn = partial(_enumerator_keys, radix ** table.astype(np.int64))
         else:
             key_fn = partial(_sorted_row_keys, table)
@@ -262,10 +265,7 @@ def leak_census(
             bases = [_dual_basis(n, b) for b in bases] if dual else bases
             keys = [sorted(table[_enumerate_span(b)].tolist()) for b in bases]
             for codes, basis in sorted(zip(keys, bases)):
-                if uniform:
-                    scaled = sorted((n - 2 * c for c in codes), reverse=True)
-                else:
-                    scaled = values[codes].tolist() if p else [n]
+                scaled = values[codes].tolist() if p else [n]
                 representatives.append({"rank": p, "scaled_distribution": scaled, "basis_masks": list(basis)})
 
     return LeakCensusReport(

@@ -28,7 +28,6 @@ from .flipcore import (
     extend,
     masks_to_bits,
     masks_to_words,
-    span,
     subgroup_from_basis_masks,
     words_to_masks,
 )
@@ -208,24 +207,10 @@ def two_sample_oracle(m1: int, m2: int, base: SignFlipSubgroup | None = None) ->
     if star not in base:
         raise ValueError("base contains no element matching the two-sample split")
 
-    # maximal subgroup avoiding r_star: kernel of the coordinate functional
-    # that is 1 on r_star's expansion in the reduced basis
-    coeffs = []
-    v = r_star
-    for b in base.basis:
-        low = b.mask & -b.mask
-        if v & low:
-            coeffs.append(True)
-            v ^= b.mask
-        else:
-            coeffs.append(False)
-    j = coeffs.index(True)
-    kernel_masks = [
-        b.mask if not coeffs[i] else b.mask ^ base.basis[j].mask
-        for i, b in enumerate(base.basis)
-        if i != j
-    ]
-    sub = span([SignFlipElement(n, m) for m in kernel_masks], n=n)
+    # an element's coefficient on the reduced echelon row with pivot q is its bit q, so the base
+    # elements with bit q clear, q the lowest pivot r_star sets, are a maximal subgroup avoiding r_star
+    q = min(low for b in base.basis if r_star & (low := b.mask & -b.mask)).bit_length() - 1
+    sub = subgroup_from_basis_masks(n, [e for e in base.element_masks() if not e >> q & 1])
     if sub.order == 1:
         warnings.warn(
             "only the trivial subgroup avoids the two-sample split element; "

@@ -1,12 +1,14 @@
 """Self-contained special functions for the test layer.
 
 Regularized incomplete beta via the standard continued fraction (modified
-Lentz evaluation), its inverse via bisection refined by Newton steps, and
-the derived quantities actually used by the tests: the CDF and quantile of
-the symmetric Beta law on [-1, 1] (the distribution of the inner product
-of a fixed unit vector with a uniformly random one).
+Lentz evaluation), and the derived quantities actually used by the tests:
+the CDF of the symmetric Beta law on [-1, 1] (the distribution of the
+inner product of a fixed unit vector with a uniformly random one) and its
+quantile, by bisection of that CDF down to adjacent doubles. There is no
+general inverse of the incomplete beta.
 
-Target accuracies: 1e-12 for CDF values, 1e-10 for quantile round trips.
+Target accuracies: 1e-12 for CDF values; 1e-10 for quantile round trips,
+or the CDF's step between adjacent doubles where larger (z near -1, n = 2).
 """
 
 from __future__ import annotations
@@ -79,45 +81,6 @@ def betainc_reg(a: float, b: float, x: float) -> float:
     return 1.0 - front * _betacf(b, a, 1.0 - x) / b
 
 
-def betainc_inv_reg(a: float, b: float, p: float) -> float:
-    """Inverse of I_x(a, b) in x, accurate to ~1e-14 in p."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p={p} outside [0, 1]")
-    if p == 0.0:
-        return 0.0
-    if p == 1.0:
-        return 1.0
-    lo, hi = 0.0, 1.0
-    x = 0.5
-    for _ in range(200):
-        f = betainc_reg(a, b, x) - p
-        if f > 0:
-            hi = x
-        else:
-            lo = x
-        # Newton step using the beta density, clipped back into the bracket
-        if 0.0 < x < 1.0:
-            ln_pdf = (
-                math.lgamma(a + b)
-                - math.lgamma(a)
-                - math.lgamma(b)
-                + (a - 1.0) * math.log(x)
-                + (b - 1.0) * math.log1p(-x)
-            )
-            pdf = math.exp(ln_pdf)
-        else:
-            pdf = 0.0
-        if pdf > 0:
-            step = x - f / pdf
-            x_new = step if lo < step < hi else 0.5 * (lo + hi)
-        else:
-            x_new = 0.5 * (lo + hi)
-        if x_new == x:  # converged to a representable fixed point
-            return x_new
-        x = x_new
-    return x
-
-
 def beta_sym_cdf(z: float, n: int) -> float:
     """CDF at z of the Beta((n-1)/2, (n-1)/2) law mapped affinely to [-1, 1]."""
     if n < 2:
@@ -129,10 +92,14 @@ def beta_sym_cdf(z: float, n: int) -> float:
 
 
 def beta_sym_quantile(p: float, n: int) -> float:
-    """Quantile of the symmetric Beta law on [-1, 1]."""
+    """Quantile of the symmetric Beta law on [-1, 1]: hi of adjacent doubles lo < hi with cdf(lo) < p <= cdf(hi)."""
     if n < 2:
         raise ValueError("need n >= 2")
-    if p == 0.5:
-        return 0.0
-    h = (n - 1) / 2.0
-    return 2.0 * betainc_inv_reg(h, h, p) - 1.0
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"p={p} outside [0, 1]")
+    if p in (0.0, 0.5, 1.0):
+        return 2.0 * p - 1.0
+    lo, hi = -1.0, 1.0
+    while lo < (mid := 0.5 * (lo + hi)) < hi:  # bisection of the CDF
+        lo, hi = (mid, hi) if beta_sym_cdf(mid, n) < p else (lo, mid)
+    return hi

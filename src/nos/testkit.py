@@ -8,17 +8,12 @@ inner product with the data, and the p-value is the fraction of the M
 transformations, the identity included, whose statistic reaches the
 observed one. Ties count against rejection, in floating point too: a
 statistic within tau = 2 n eps ||x||_2 below the observed one counts as
-reaching it. That is twice the worst-case rounding error of an n-term
-inner product with a unit column, so an exact tie is never lost to
-rounding and the test is never anti-conservative. The MC sign-flip
-statistic is computed from the 0/1 pattern bits as iota'x - 2 S, with
-S = sum_i bits_i x_i iota_i; a computed k-term inner product is off by at
-most k eps/2 ||x||_2. At a one-sided tie S is exactly 0, so the computed
-statistic misses iota'x by at most (n + 1/2) eps ||x||_2 < tau. At a
-two-sided tie S may instead equal iota'x, which is computed apart, and
-the miss is at most (2n + 2k + 1) eps/2 ||x||_2 for a pattern of k set
-bits, below tau for k < n. The one pattern with k = n, g = -I, is
-replaced by the identity, whose two-sided statistic is the same and exact.
+reaching it. Every statistic, of a representation column or of an MC
+sign pattern g (the sum of the signed products +-iota_i x_i, -I
+included), is an n-term inner product with a unit vector and is off by
+at most n eps/2 ||x||_2. Two statistics that tie exactly are computed at
+most n eps ||x||_2 apart, half of tau, so an exact tie is never lost to
+rounding and the test is never anti-conservative.
 For a representation with signatures, one dataset's M statistics are the
 Walsh-Hadamard transform (in flipcore) of B_s = sum of x_i iota_i over
 sig_i = s, O(n + M log M) work. Each is a tree sum of the n rounded
@@ -26,7 +21,7 @@ products of depth <= (largest bin) + log2 M <= 2n, and a depth-d sum is off
 by at most d eps/2 ||x||_2: by n eps ||x||_2 at most, the bound behind tau.
 The MC sign-flip patterns are drawn as packed mask words by the flipcore
 sampler, ``random_masks`` with replacement or ``distinct_masks`` outside
-the identity without, and unpacked to bits once per chunk. The MC z
+the identity without, and unpacked to +-1 signs once per chunk. The MC z
 family has no data vector and uses tau = 0. The MC orthogonal family
 draws each statistic from the symmetric Beta law, O(M) work per dataset.
 The full-orthogonal-group test has a closed form through the same law
@@ -168,9 +163,9 @@ def _subgroup_stats(X: np.ndarray, rep: MatrixRepresentation) -> np.ndarray:
     return _walsh_hadamard(np.bincount(rep.signatures, X[0] * rep.iota, rep.M))[None]
 
 
-def _signflip_stats(bits: np.ndarray, X: np.ndarray, iota: np.ndarray, obs: np.ndarray) -> np.ndarray:
-    """iota'(g x) = iota'x - 2 sum_i bits_i x_i iota_i for each (rows, draws, n) sign pattern g."""
-    return obs[:, None] - 2.0 * np.einsum("cmn,cn->cm", bits, X * iota)
+def _signflip_stats(signs: np.ndarray, X: np.ndarray, iota: np.ndarray) -> np.ndarray:
+    """iota'(g x) = sum_i signs_i iota_i x_i for each (rows, draws, n) pattern g of +-1 signs."""
+    return np.einsum("cmn,cn->cm", signs, X * iota)
 
 
 def exceed_counts(
@@ -218,10 +213,10 @@ def exceed_counts(
                     words = random_masks(rng, n, (c, M - 1))
                 else:
                     words = distinct_masks(rng, n, c, M - 1, masks_to_words([0], n))
-                bits = masks_to_bits(words, n)
-                if side == "two":  # -I has the identity's two-sided statistic (module docstring)
-                    bits[bits.all(axis=2)] = 0
-                stats = _signflip_stats(bits, xc, iota, obs[lo : lo + c])
+                signs = masks_to_bits(words, n).view(np.int8)
+                signs *= -2
+                signs += 1  # (-1)^bit, in place
+                stats = _signflip_stats(signs, xc, iota)
             elif family == "mc-orthogonal":
                 if n > 1:  # (1 + u) / 2 ~ Beta((n-1)/2, (n-1)/2), which has no n = 1 case
                     u = 2.0 * rng.beta((n - 1) / 2, (n - 1) / 2, (c, M - 1)) - 1.0

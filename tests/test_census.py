@@ -21,6 +21,7 @@ from nos.census import (
     oracle_census,
     orbit_counts,
 )
+from nos.construct import iota_two_sample
 from nos.flipcore import is_subgroup, subgroup_from_basis_masks
 from nos.leak import Direction, leak_summary
 from test_leak import _fsum_leaks
@@ -150,6 +151,29 @@ def test_leak_census_general_direction_matches_per_subgroup_reference():
             iota = Direction.from_vector(v, normalize=True)
             if not iota.is_uniform:
                 assert leak_census(n, iota=iota).to_dict() == _census_by_subgroup(n, iota), (n, v)
+
+
+def test_leak_census_few_valued_directions_match_per_subgroup_reference():
+    # every two-sample contrast, and directions whose nonzero squares are equal, take the code enumerator key
+    directions = [iota_two_sample(m1, n - m1) for n in range(2, 7) for m1 in range(1, n)] + [iota_two_sample(3, 4)]
+    directions += [Direction.from_vector(v, normalize=True) for v in ([1, 0, -1, 1], [0, 1, 1, -1, 0, -1])]
+    for iota in directions:
+        assert leak_census(iota.n, iota=iota).to_dict() == _census_by_subgroup(iota.n, iota), iota.coords
+
+
+def test_sorted_rows_key_only_directions_with_many_leaks(monkeypatch):
+    calls = []
+    sorted_keys = census._sorted_row_keys
+
+    def spy(table, rows):
+        calls.append(len(rows))
+        return sorted_keys(table, rows)
+
+    monkeypatch.setattr(census, "_sorted_row_keys", spy)
+    leak_census(6, iota=iota_two_sample(3, 3))
+    assert calls == []
+    leak_census(6, iota=Direction.from_vector(np.random.default_rng(6).standard_normal(6), normalize=True))
+    assert calls
 
 
 def test_batch_splits_change_no_output(monkeypatch):

@@ -1,6 +1,8 @@
 """Oracle and near-oracle subgroup constructors."""
 
 import tracemalloc
+import warnings
+from itertools import product
 
 import numpy as np
 import pytest
@@ -25,7 +27,7 @@ from nos.flipcore import (
     subgroup_from_basis_masks,
     words_to_masks,
 )
-from nos.leak import Direction, leak_summary
+from nos.leak import Direction, leak_summary, matrix_representation
 
 
 def test_two_adic_valuation():
@@ -259,6 +261,57 @@ def test_two_sample_oracle_zero_inner_products(m):
     for j in range(1, rep.M):
         col_signs = np.sign(rep.columns[:, j]).astype(int)
         assert int(np.sum(col_signs * base_signs)) == 0
+
+
+def _coefficient_kernel(base, r_star):
+    """Reference maximal subgroup of ``base`` avoiding ``r_star``, from r_star's coefficients.
+
+    The kernel of the coordinate functional that is 1 on r_star's expansion in the reduced basis.
+    """
+    coeffs = []
+    v = r_star
+    for b in base.basis:
+        low = b.mask & -b.mask
+        if v & low:
+            coeffs.append(True)
+            v ^= b.mask
+        else:
+            coeffs.append(False)
+    j = coeffs.index(True)
+    kernel_masks = [
+        b.mask if not coeffs[i] else b.mask ^ base.basis[j].mask
+        for i, b in enumerate(base.basis)
+        if i != j
+    ]
+    return span([SignFlipElement(base.n, m) for m in kernel_masks], n=base.n)
+
+
+def _permuted(base, perm):
+    """``base`` with coordinate i moved to perm[i]."""
+    moved = [sum(1 << int(perm[i]) for i in range(base.n) if b.mask >> i & 1) for b in base.basis]
+    return subgroup_from_basis_masks(base.n, moved)
+
+
+def test_two_sample_kernel_matches_the_coefficient_construction():
+    rng = np.random.default_rng(13)
+    checked = 0
+    for m in range(1, 33):
+        n, iota = 2 * m, iota_two_sample(m, m)
+        r_star = ((1 << n) - 1) ^ ((1 << m) - 1)
+        oracles = [oracle_signflip(n, k) for k in range(1, two_adic_valuation(n) + 1)]
+        bases = list(oracles)
+        for base, _ in product(oracles, range(5)):
+            # a coordinate permutation that keeps the split, and one that keeps r_star in the base by chance
+            bases.append(_permuted(base, np.r_[rng.permutation(m), m + rng.permutation(m)]))
+            if r_star in (shuffled := _permuted(base, rng.permutation(n))).element_masks():
+                bases.append(shuffled)
+        for base in bases:
+            want = matrix_representation(_coefficient_kernel(base, r_star), iota).columns
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # m odd: only the trivial subgroup avoids r_star
+                assert np.array_equal(two_sample_oracle(m, m, base).columns, want), (m, base.basis)
+            checked += 1
+    assert checked > 300
 
 
 def test_two_sample_oracle_requires_balance():

@@ -7,7 +7,7 @@ import pytest
 from scipy import special as sp
 from scipy import stats
 
-from nos.special import beta_sym_cdf, beta_sym_quantile, betainc_inv_reg, betainc_reg
+from nos.special import beta_sym_cdf, beta_sym_quantile, betainc_reg
 from nos.testkit import Dataset, full_orthogonal_test
 
 
@@ -26,15 +26,6 @@ def test_betainc_endpoints_and_validation():
         betainc_reg(1.0, 1.0, 1.5)
 
 
-@pytest.mark.parametrize("a,b", [(0.5, 0.5), (1.5, 1.5), (4.5, 4.5), (10.0, 3.0)])
-def test_betainc_inverse_roundtrip(a, b):
-    # the upper endpoint stays at 1 - 1e-6: beyond that the Beta(.5,.5) CDF
-    # slope near x = 1 outruns the spacing of representable doubles
-    for p in (1e-8, 1e-3, 0.1, 0.5, 0.9, 0.999, 1 - 1e-6):
-        x = betainc_inv_reg(a, b, p)
-        assert betainc_reg(a, b, x) == pytest.approx(p, abs=1e-10)
-
-
 def test_beta_sym_cdf_symmetry():
     for n in (3, 10, 30):
         assert beta_sym_cdf(0.0, n) == pytest.approx(0.5, abs=1e-14)
@@ -42,11 +33,33 @@ def test_beta_sym_cdf_symmetry():
             assert beta_sym_cdf(-z, n) == pytest.approx(1.0 - beta_sym_cdf(z, n), abs=1e-12)
 
 
+_QUANTILE_PS = (1e-8, 1e-3, 0.01, 0.1, 0.2, 0.5, 0.8, 0.9, 0.99, 0.999, 1 - 1e-6)
+
+
 def test_beta_sym_quantile_roundtrip():
-    for n in (3, 8, 25):
-        for p in (0.01, 0.2, 0.5, 0.8, 0.99):
+    # n = 2, 4 and 10 are Beta(a, a) at a = 0.5, 1.5 and 4.5. The quantile is a double, so the round trip
+    # is checked to 1e-10 or to the CDF's step from the next double below, whichever is larger: at n = 2,
+    # p = 1e-8 the quantile is -1 + 5.6e-16, where adjacent doubles are 1.1e-16 apart and the CDF steps 1.1e-9
+    for n in (2, 3, 4, 8, 10, 25, 1000):
+        for p in _QUANTILE_PS:
             z = beta_sym_quantile(p, n)
-            assert beta_sym_cdf(z, n) == pytest.approx(p, abs=1e-10)
+            step = beta_sym_cdf(z, n) - beta_sym_cdf(np.nextafter(z, -1.0), n)
+            assert abs(beta_sym_cdf(z, n) - p) <= max(1e-10, step), (n, p)
+
+
+def test_beta_sym_quantile_matches_scipy():
+    for n in (2, 3, 4, 8, 10, 25, 1000):
+        h = (n - 1) / 2
+        for p in (1e-12,) + _QUANTILE_PS:
+            assert beta_sym_quantile(p, n) == pytest.approx(2 * float(sp.betaincinv(h, h, p)) - 1, abs=1e-11), (n, p)
+
+
+def test_beta_sym_quantile_endpoints_and_validation():
+    assert [beta_sym_quantile(p, 5) for p in (0.0, 0.5, 1.0)] == [-1.0, 0.0, 1.0]
+    with pytest.raises(ValueError):
+        beta_sym_quantile(1.5, 5)
+    with pytest.raises(ValueError):
+        beta_sym_quantile(0.5, 1)
 
 
 def test_beta_to_t_pushes_law_forward():

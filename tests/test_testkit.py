@@ -157,8 +157,30 @@ def test_mc_signflip_statistic_matches_the_float_sign_cube(uniform):
     X = rng.standard_normal((300, n)) * rng.uniform(0.01, 100.0, (300, 1))
     bits = rng.integers(0, 2, size=(300, M - 1, n), dtype=np.int8)
     reference = np.einsum("cmn,cn->cm", 1.0 - 2.0 * bits, X * iota.coords)
-    got = _signflip_stats(bits, X, iota.coords, X @ iota.coords)
+    got = _signflip_stats(1 - 2 * bits, X, iota.coords)
     assert np.all(np.abs(got - reference) <= tie_tolerance(X)[:, None])
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("uniform", [True, False])
+def test_mc_signflip_over_every_pattern_counts_like_the_full_group(n, uniform):
+    # M = 2^n without replacement draws every pattern, -I included, so the MC counts are the
+    # full group's; rows near +-iota put -I's statistic at (or, two-sided, in a tie with) the extreme
+    rng = np.random.default_rng(10 * n + uniform)
+    iota = Direction.uniform(n) if uniform else Direction.from_vector(rng.standard_normal(n), normalize=True)
+    rows = 10_000
+    scale = rng.choice([-1.0, 1.0], (rows, 1)) * 10.0 ** rng.uniform(-3, 3, (rows, 1))
+    noise = rng.standard_normal((rows, n)) * 10.0 ** rng.uniform(-17, 0, (rows, 1))
+    X = scale * (iota.coords + noise)
+    rep = matrix_representation(full_group(n), iota)
+    for side in ("one", "two"):
+        want, _ = exceed_counts("subgroup", X, side, rep=rep)  # subgroup_test's kernel, row by row
+        got, _ = exceed_counts(
+            "mc-signflip", X, side, iota=iota.coords, M=1 << n, rng=np.random.default_rng(n)
+        )
+        assert np.array_equal(got, want), side
+        for r in range(0, rows, 997):
+            assert subgroup_test(_dataset(X[r], iota), rep, 0.5, side).exceed_count == want[r]
 
 
 @pytest.mark.parametrize("n,M", [(5, 32), (8, 64), (24, 64)])
