@@ -16,10 +16,17 @@ any ``str.split`` whitespace, and a token is ``+1``, ``-1`` or ``1`` (read
 as ``+1``), nothing else. Errors are reported in that order: header, row
 count, then the first row with a wrong token count or a bad token.
 Reading works on the bytes of the text with a few C-level passes, so it
-makes no object per token: at n = M = 2048 (a 12 MB file) it takes about
-0.1 s on a 2-vCPU Xeon VM, and its allocations peak at about 2.3 times
-the text's size. Text that is not ASCII is first normalised to single
-spaces and newlines, line by line, in Python.
+makes no object per token. It runs them on one block of about 1 MiB of
+rows at a time, from a line break to just before a later one, and writes
+each block's bits into one (M, n) array; the first fault sends the whole
+text to one reporter, so messages do not depend on the blocks. An ASCII
+file is read as bytes and never copied to a str: at n = M = 2048 (a
+12 MB file) ``read_subgroup`` takes about 0.06 s on a 2-vCPU Xeon VM,
+and its allocations peak at about 1.6 times the file's size (the bytes,
+the bits and block-sized buffers). Text that is not ASCII is first
+normalised to single spaces and newlines, line by line, in Python.
+Writing streams the same blocks of rows as bytes, so its allocations
+stay near 1.4 MiB at any size.
 
 Data and direction files are plain UTF-8 text with one decimal number
 per line; a direction with a non-finite value is rejected, and one that
@@ -30,6 +37,7 @@ from __future__ import annotations
 
 import re
 import warnings
+from io import BytesIO
 from pathlib import Path
 
 import numpy as np
@@ -63,31 +71,63 @@ _CODE = bytes(_CODE_OF.get(c, _OTHER) for c in range(256))
 _FOLLOW = bytes(_NEXT.get(c, 0) for c in range(256))
 _TOKENS = ("+1", "-1", "1")
 
+_BLOCK = 1 << 20  # bytes of rows written or parsed at a time
+_BREAK_BYTE_RE = re.compile(b"[%s]" % re.escape(_CLASSES[_BREAK]))
+_HEAD_RE = re.compile(b"[%s]*[^%s]*" % (re.escape(_CLASSES[_SPACE] + _CLASSES[_BREAK]), re.escape(_CLASSES[_BREAK])))
+
 
 class NosFormatError(ValueError):
     """A `.nos` file violates the format or the group axioms."""
 
 
-def format_subgroup(s: SignFlipSubgroup) -> str:
-    """Canonical `.nos` text of a subgroup."""
-    bits = masks_to_bits(s.element_masks(), s.n)
+def _write_nos(fh, s: SignFlipSubgroup) -> None:
+    """Write the canonical `.nos` bytes of ``s`` to the binary file ``fh``, about _BLOCK bytes of rows at a time."""
+    n, masks = s.n, s.element_masks()
+    fh.write(f"{_MAGIC} {n} {s.order}\n".encode("ascii"))
+    rows = max(1, _BLOCK // (3 * n))
     # each token is a sign, "1" and a separator: a space, or a newline at the end of the row
-    chars = np.empty(bits.shape + (3,), dtype=np.uint8)
-    chars[..., 0] = np.where(bits, ord("-"), ord("+"))
+    chars = np.empty((min(rows, len(masks)), n, 3), dtype=np.uint8)
     chars[..., 1] = ord("1")
     chars[..., 2] = ord(" ")
     chars[:, -1, 2] = ord("\n")
-    return f"{_MAGIC} {s.n} {s.order}\n" + chars.tobytes().decode("ascii")
+    for lo in range(0, len(masks), rows):
+        block = chars[: len(masks) - lo]
+        signs = block[..., 0]
+        np.multiply(masks_to_bits(masks[lo : lo + rows], n).view(np.uint8), 2, out=signs)
+        signs += ord("+")  # "-" is "+" + 2
+        fh.write(block)
+
+
+def format_subgroup(s: SignFlipSubgroup) -> str:
+    """Canonical `.nos` text of a subgroup."""
+    buf = BytesIO()
+    _write_nos(buf, s)
+    return buf.getvalue().decode("ascii")
 
 
 def write_subgroup(path, s: SignFlipSubgroup) -> None:
-    Path(path).write_text(format_subgroup(s), encoding="utf-8")
+    with open(path, "wb") as fh:
+        _write_nos(fh, s)
 
 
-def _line_end(text: str, pos: int) -> int:
-    """Index of the first line break at or after ``pos``, or the length of the text."""
-    found = _BREAK_RE.search(text, pos)
-    return found.start() if found else len(text)
+def _header(text: str) -> tuple[int, int, int]:
+    """n, M and the index where the header line ends, of `.nos` text."""
+    first = _BLANK_RE.match(text).end()  # the first character of the header line
+    if first == len(text):
+        raise NosFormatError("empty file")
+    found = _BREAK_RE.search(text, first)
+    body = found.start() if found else len(text)
+    line = text[:body].splitlines()[-1]
+    header = line.split()
+    if len(header) != 3 or header[0] != _MAGIC:
+        raise NosFormatError(f"bad header {line!r}: expected '{_MAGIC} <n> <M>'")
+    try:
+        n, m = int(header[1]), int(header[2])
+    except ValueError as exc:
+        raise NosFormatError(f"non-integer dimensions in header {line!r}") from exc
+    if n < 1 or m < 1:
+        raise NosFormatError(f"dimensions must be positive, got n={n}, M={m}")
+    return n, m, body
 
 
 def _codes(text: str, body: int) -> bytearray:
@@ -103,25 +143,55 @@ def _line_lengths(buf) -> np.ndarray:
     return np.diff(breaks, append=len(buf)) - 1
 
 
-def _parse_rows(text: str, body: int, n: int, m: int) -> np.ndarray:
-    """The (m, n) bits of the rows after index ``body`` (True = -1); ``text`` is ASCII."""
-    # each buffer is dropped once used, so no more than two text-sized ones live at a time
-    codes = _codes(text, body)
+def _blocks(data: bytes, lo: int):
+    """(start, end) of each block of ``data`` from index ``lo``, which is a line break or the end.
+
+    A block ends just before the first line break _BLOCK or more bytes on,
+    or at the end, so every block but the first starts at a break.
+    """
+    while lo < len(data):
+        found = _BREAK_BYTE_RE.search(data, lo + _BLOCK)
+        hi = found.start() if found else len(data)
+        yield lo, hi
+        lo = hi
+
+
+def _first_bad_pair(codes: bytearray) -> int:
+    """Index of the first code whose pair with the next one no valid body has, or -1.
+
+    The last code is read as followed by a space.
+    """
     follow = codes.translate(_FOLLOW)
     c, f = np.frombuffer(codes, np.uint8), np.frombuffer(follow, np.uint8)
     np.bitwise_and(f[:-1], c[1:], out=f[:-1])
-    f[-1] &= _SPACE  # the last character is followed by the end of the text
-    del c, f
-    bad = follow.find(0)  # the first character of the first pair that no valid body has
-    del follow
-    signs = codes.translate(None, bytes([_SPACE, _PLUS]))  # a token is now -1 or 1
-    del codes
-    tokens = _line_lengths(signs.translate(None, bytes([_MINUS])))  # '1's per line
-    rows = tokens[tokens > 0]
-    if bad >= 0 or len(rows) != m or np.any(rows != n):
-        _raise_first_fault(text, body, n, m, bad, tokens)
-    s = np.frombuffer(signs, np.uint8)
-    return (s[:-1] == _MINUS)[s[1:] == _ONE].reshape(m, n)
+    f[-1] &= _SPACE
+    return follow.find(0)
+
+
+def _parse_rows(data: bytes, body: int, n: int, m: int, text: str | None) -> np.ndarray:
+    """The (m, n) bits of the rows after index ``body`` of the ASCII ``data`` (True = -1), a block at a time.
+
+    ``text`` is ``data`` as a str, if at hand, for the error message.
+    """
+    bits = np.empty((m, n), dtype=bool)
+    row, bad, tokens = 0, -1, [np.zeros(0, dtype=np.intp)]
+    for lo, hi in _blocks(data, body):
+        codes = bytearray(memoryview(data)[lo:hi]).translate(_CODE)
+        found = _first_bad_pair(codes)  # a block is followed by a break or the end, which pass as a space
+        signs = codes.translate(None, bytes([_SPACE, _PLUS]))  # a token is now -1 or 1
+        del codes  # so that no more than two block-sized buffers live at a time
+        tokens.append(_line_lengths(signs.translate(None, bytes([_MINUS]))))  # '1's per line
+        rows = tokens[-1][tokens[-1] > 0]
+        if found >= 0 or row + len(rows) > m or np.any(rows != n):
+            bad = lo + found if found >= 0 else -1
+            break
+        s = np.frombuffer(signs, np.uint8)
+        bits[row : row + len(rows)] = (s[:-1] == _MINUS)[s[1:] == _ONE].reshape(-1, n)
+        row += len(rows)
+    else:
+        if row == m:
+            return bits
+    _raise_first_fault(data.decode("ascii") if text is None else text, body, n, m, bad, np.concatenate(tokens))
 
 
 def _raise_first_fault(text: str, body: int, n: int, m: int, bad: int, tokens: np.ndarray):
@@ -129,7 +199,8 @@ def _raise_first_fault(text: str, body: int, n: int, m: int, bad: int, tokens: n
 
     ``bad`` is the position of the first invalid pair of characters (-1 if
     none) and ``tokens`` the count of '1's on each line, which is its token
-    count on every line before the one holding ``bad``.
+    count on every line before the one holding ``bad``. When ``bad`` is -1,
+    ``tokens`` may stop at the line that has a wrong count.
     """
     codes = _codes(text, body)
     nonblank = _line_lengths(codes.translate(None, bytes([_SPACE]))) > 0
@@ -148,26 +219,10 @@ def _raise_first_fault(text: str, body: int, n: int, m: int, bad: int, tokens: n
     raise NosFormatError(f"row {row}, column {col}: token {found[col]!r} is not +1 or -1")
 
 
-def parse_subgroup(text: str) -> SignFlipSubgroup:
-    """Parse and fully validate `.nos` text."""
-    first = _BLANK_RE.match(text).end()  # the first character of the header line
-    if first == len(text):
-        raise NosFormatError("empty file")
-    line = text[: _line_end(text, first)].splitlines()[-1]
-    header = line.split()
-    if len(header) != 3 or header[0] != _MAGIC:
-        raise NosFormatError(f"bad header {line!r}: expected '{_MAGIC} <n> <M>'")
-    try:
-        n, m = int(header[1]), int(header[2])
-    except ValueError as exc:
-        raise NosFormatError(f"non-integer dimensions in header {line!r}") from exc
-    if n < 1 or m < 1:
-        raise NosFormatError(f"dimensions must be positive, got n={n}, M={m}")
-    if not text.isascii():  # one space between tokens, one newline between lines
-        text = "\n".join(" ".join(ln.split()) for ln in text.splitlines())
-        first = _BLANK_RE.match(text).end()
-    bits = _parse_rows(text, _line_end(text, first), n, m)
-    masks = bits_to_masks(bits)
+def _parse_nos(data: bytes, text: str | None = None) -> SignFlipSubgroup:
+    """Parse and fully validate the ASCII bytes of `.nos` text; ``text`` is them as a str, if at hand."""
+    n, m, body = _header(data[: _HEAD_RE.match(data).end()].decode("ascii"))
+    masks = bits_to_masks(_parse_rows(data, body, n, m, text))
 
     if masks[0] != 0:
         raise NosFormatError("first row must be the identity (all +1)")
@@ -190,8 +245,19 @@ def parse_subgroup(text: str) -> SignFlipSubgroup:
                 )
 
 
+def parse_subgroup(text: str) -> SignFlipSubgroup:
+    """Parse and fully validate `.nos` text."""
+    if text.isascii():
+        return _parse_nos(text.encode("ascii"))
+    _header(text)  # a bad header is reported as it is written
+    # one space between tokens, one newline between lines
+    text = "\n".join(" ".join(ln.split()) for ln in text.splitlines())
+    return _parse_nos(text.encode("ascii", "replace"), text)
+
+
 def read_subgroup(path) -> SignFlipSubgroup:
-    return parse_subgroup(Path(path).read_text(encoding="utf-8"))
+    data = Path(path).read_bytes()
+    return _parse_nos(data) if data.isascii() else parse_subgroup(data.decode("utf-8"))
 
 
 def read_data(path) -> np.ndarray:

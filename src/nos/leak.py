@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -57,7 +58,7 @@ class Direction:
         """n^{-1/2}(1, ..., 1)', the default direction for sign-flipping."""
         return cls(n, np.full(n, 1.0 / math.sqrt(n)))
 
-    @property
+    @cached_property
     def is_uniform(self) -> bool:
         c = self.coords
         return bool(c[0] > 0 and np.all(c == c[0]))
@@ -73,6 +74,12 @@ class Direction:
         return cls(len(v), v)
 
 
+def _check_unit_columns(cols: np.ndarray) -> None:
+    norms = np.sqrt(np.einsum("ij,ij->j", cols, cols))
+    if not np.all(np.abs(norms - 1.0) <= _UNIT_NORM_TOL):  # NaN fails too
+        raise ValueError("every column must be finite with unit norm (tol 1e-12)")
+
+
 @dataclass(frozen=True, eq=False)
 class MatrixRepresentation:
     """The n x M array with columns S iota; column 0 is always iota itself.
@@ -80,14 +87,15 @@ class MatrixRepresentation:
     This is the universal test-execution format: evaluating the invariance
     test only needs the inner products of the columns with the data.
     ``iota`` is a read-only contiguous copy of column 0. ``signatures`` is
-    set only by ``matrix_representation``, which writes the columns from
-    it: column j = iota_i (-1)^popcount(j & signatures[i]). A hand-built
-    representation has none. Equality is identity.
+    set only by ``matrix_representation``, which keeps iota and the
+    signatures; the columns are written from them the first time they are
+    read, as column j = iota_i (-1)^popcount(j & signatures[i]), and kept.
+    A hand-built representation has none. Equality is identity.
     """
 
     n: int
     M: int
-    columns: np.ndarray  # shape (n, M)
+    columns: np.ndarray = field(repr=False)  # shape (n, M)
     iota: np.ndarray = field(init=False, repr=False)
     signatures: np.ndarray | None = field(default=None, init=False, repr=False)
 
@@ -99,14 +107,26 @@ class MatrixRepresentation:
             cols = np.array(cols, dtype=float, order="C")
         if cols.shape != (self.n, self.M):
             raise ValueError(f"columns shape {cols.shape} != ({self.n}, {self.M})")
-        norms = np.sqrt(np.einsum("ij,ij->j", cols, cols))
-        if not np.all(np.abs(norms - 1.0) <= _UNIT_NORM_TOL):  # NaN fails too
-            raise ValueError("every column must be finite with unit norm (tol 1e-12)")
+        _check_unit_columns(cols)
         cols.flags.writeable = False
         iota = cols[:, 0].copy()
         iota.flags.writeable = False
         object.__setattr__(self, "columns", cols)
         object.__setattr__(self, "iota", iota)
+
+    def __getattr__(self, name):
+        # reached only for an attribute that is not set: the columns of a representation built from signatures
+        if name != "columns":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        cols = np.empty((self.n, self.M))
+        cols[:, 0] = self.iota
+        for b in range(self.M.bit_length() - 1):  # column j + 2^b is column j, negated where bit b of sig_i is set
+            h = 1 << b
+            np.multiply(cols[:, :h], np.where(self.signatures >> b & 1, -1.0, 1.0)[:, None], out=cols[:, h : 2 * h])
+        _check_unit_columns(cols)
+        cols.flags.writeable = False
+        object.__setattr__(self, "columns", cols)
+        return cols
 
 
 @dataclass(frozen=True)
@@ -167,13 +187,16 @@ def leak_summary(s: SignFlipSubgroup | MatrixRepresentation, iota: Direction | N
 
     Accepts either the GF(2) subgroup in canonical order (with a direction,
     default uniform) or an existing matrix representation (whose direction
-    is its first column).
+    is its first column). A representation with signatures gives the
+    subgroup's summary; a hand-built one sums iota' S iota over its columns.
     """
     if isinstance(s, MatrixRepresentation):
         if s.M < 2:
             raise TrivialSubgroupError("leak is undefined for an order-1 subgroup")
-        dist = tuple(float(v) for v in s.iota @ s.columns)
-        scaled = tuple(s.n * v for v in dist)
+        if s.signatures is None:
+            dist = tuple(float(v) for v in s.iota @ s.columns)
+            return _summary(dist, tuple(s.n * v for v in dist))
+        signatures, M, iota = s.signatures, s.M, Direction(s.n, s.iota)
     else:
         if iota is None:
             iota = Direction.uniform(s.n)
@@ -181,10 +204,14 @@ def leak_summary(s: SignFlipSubgroup | MatrixRepresentation, iota: Direction | N
             raise DimensionMismatchError(f"subgroup n={s.n} != direction n={iota.n}")
         if s.order < 2:
             raise TrivialSubgroupError("leak is undefined for the trivial subgroup")
-        w, q = _leak_spectrum(_signatures(s), s.order, iota)
-        dist = tuple(v / q for v in w)
-        # the uniform direction's spectrum is its scaled leaks themselves, exact ints (q = n)
-        scaled = tuple(w) if iota.is_uniform else tuple(s.n * v for v in dist)
+        signatures, M = _signatures(s), s.order
+    w, q = _leak_spectrum(signatures, M, iota)
+    dist = tuple(v / q for v in w)
+    # the uniform direction's spectrum is its scaled leaks themselves, exact ints (q = n)
+    return _summary(dist, tuple(w) if iota.is_uniform else tuple(iota.n * v for v in dist))
+
+
+def _summary(dist: tuple, scaled: tuple) -> LeakSummary:
     others = dist[1:]
     return LeakSummary(max(others), max(abs(v) for v in others), dist, scaled)
 
@@ -194,33 +221,36 @@ def matrix_representation(s: SignFlipSubgroup, iota: Direction | None = None) ->
 
     Requires the canonical element order that ``span`` gives, and distinct
     columns, guaranteed when delta < 1 or iota has no zero coordinate.
+    The representation holds iota and the signatures, and writes its
+    columns when they are first read.
     """
     if iota is None:
         iota = Direction.uniform(s.n)
     if s.n != iota.n:
         raise DimensionMismatchError(f"subgroup n={s.n} != direction n={iota.n}")
-    n, M, signatures = s.n, s.order, _signatures(s)
+    M, signatures = s.order, _signatures(s)
     signatures.flags.writeable = False
     # columns j and k collide iff element j ^ k flips only zero coordinates of iota,
     # i.e. iff its Walsh coefficient over the nonzero ones equals the identity's
     w = _walsh_hadamard(np.bincount(signatures[iota.coords != 0], minlength=M))
     if np.any(w[1:] == w[0]):
         raise ValueError("duplicate columns: need delta < 1 or an iota without zero coordinates")
-    cols = np.empty((n, M))
-    cols[:, 0] = iota.coords
-    for b in range(M.bit_length() - 1):  # column j + 2^b is column j, negated where bit b of sig_i is set
-        h = 1 << b
-        np.multiply(cols[:, :h], np.where(signatures >> b & 1, -1.0, 1.0)[:, None], out=cols[:, h : 2 * h])
-    cols.flags.writeable = False  # so MatrixRepresentation keeps it without a copy
-    rep = MatrixRepresentation(n, M, cols)
-    object.__setattr__(rep, "signatures", signatures)
+    rep = object.__new__(MatrixRepresentation)  # no columns yet: __getattr__ writes them when read
+    rep.__dict__.update(n=s.n, M=M, iota=iota.coords, signatures=signatures)
     return rep
 
 
 def delta_from_matrix(rep: MatrixRepresentation) -> float:
-    """Maximum off-diagonal inner product of the representation's columns."""
+    """Maximum off-diagonal inner product of the representation's columns.
+
+    With signatures, entry (j, k) of the Gram matrix is the leak of element
+    j ^ k, so delta is the largest leak of a non-identity element.
+    """
     if rep.M < 2:
         raise ValueError("delta needs at least two columns")
+    if rep.signatures is not None:
+        w, q = _leak_spectrum(rep.signatures, rep.M, Direction(rep.n, rep.iota))
+        return max(w[1:]) / q
     gram = rep.columns.T @ rep.columns
     off = gram[~np.eye(rep.M, dtype=bool)]
     return float(np.max(off))

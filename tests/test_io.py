@@ -1,5 +1,6 @@
 """`.nos` subgroup files and plain-text data/direction files."""
 
+import contextlib
 import itertools
 import tracemalloc
 
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nos import io as nos_io
 from nos.construct import oracle_signflip
 from nos.flipcore import _rref_basis, bits_to_masks, masks_to_bits, subgroup_from_basis_masks
 from nos.io import (
@@ -51,21 +53,22 @@ def test_roundtrip_any_subgroup(n, data):
     assert parse_subgroup(format_subgroup(s)) == s
 
 
-@pytest.mark.parametrize(
-    "text,fragment",
-    [
-        ("", "empty"),
-        ("NOS2 2 2\n+1 +1\n+1 -1\n", "header"),
-        ("NOS1 2 two\n+1 +1\n+1 -1\n", "header"),
-        ("NOS1 2 3\n+1 +1\n+1 -1\n", "promises 3 rows"),
-        ("NOS1 2 2\n+1\n+1 -1\n", "tokens"),
-        ("NOS1 2 2\n+1 +2\n+1 -1\n", "column 1"),
-        ("NOS1 2 2\n+1 -1\n+1 +1\n", "identity"),
-        ("NOS1 2 2\n+1 +1\n+1 +1\n", "duplicate"),
-        ("NOS1 2 3\n+1 +1\n-1 +1\n+1 -1\n", "not closed"),
-        ("NOS1 2 4\n+1 +1\n-1 -1\n-1 +1\n+1 -1\n", "ascending"),
-    ],
-)
+MALFORMED = [
+    ("", "empty"),
+    ("NOS2 2 2\n+1 +1\n+1 -1\n", "header"),
+    ("NOS1 2 two\n+1 +1\n+1 -1\n", "header"),
+    ("NOS1 2 3\n+1 +1\n+1 -1\n", "promises 3 rows"),
+    ("NOS1 2 2\n+1\n+1 -1\n", "tokens"),
+    ("NOS1 2 2\n+1 +2\n+1 -1\n", "column 1"),
+    ("NOS1 2 2\n+1 -1\n+1 +1\n", "identity"),
+    ("NOS1 2 2\n+1 +1\n+1 +1\n", "duplicate"),
+    ("NOS1 2 3\n+1 +1\n-1 +1\n+1 -1\n", "not closed"),
+    ("NOS1 2 4\n+1 +1\n-1 -1\n-1 +1\n+1 -1\n", "ascending"),
+    ("NOS1 2 2\n+1 +1\n+1 -1 -", "row 1 has 3 tokens"),  # a lone sign at the end of the text
+]
+
+
+@pytest.mark.parametrize("text,fragment", MALFORMED)
 def test_malformed_files_rejected(text, fragment):
     with pytest.raises(NosFormatError, match=fragment):
         parse_subgroup(text)
@@ -193,6 +196,14 @@ _PAD = st.sampled_from(["", " ", "\t", "  \xa0"])
 _BAD_TOKENS = ["+", "--1", "+11", "1-", "\u22121", "-1.0", "2"]
 
 
+@contextlib.contextmanager
+def _blocks_of(size):
+    """Write and parse `.nos` rows ``size`` bytes at a time."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(nos_io, "_BLOCK", size)
+        yield
+
+
 def _outcome(parse, text):
     try:
         return "ok", parse(text)
@@ -232,7 +243,10 @@ def test_parse_matches_reference_parser(n, data):
     text = data.draw(_PAD) + "".join(line + data.draw(_LINE_BREAKS) for line in lines)
     if data.draw(st.booleans()):
         text = text.rstrip("\n") + data.draw(_PAD)
-    assert _outcome(parse_subgroup, text) == _outcome(_reference_parse, text)
+    want = _outcome(_reference_parse, text)
+    assert _outcome(parse_subgroup, text) == want
+    with _blocks_of(16):
+        assert _outcome(parse_subgroup, text) == want
 
 
 @pytest.mark.parametrize("m", [3, 4, 6, 8])
@@ -247,3 +261,117 @@ def test_closure_check_matches_reference_parser_on_every_sorted_row_set(m):
         assert outcome == _outcome(_reference_parse, text), rest
         accepted += outcome[0] == "ok"
     assert accepted == {3: 0, 4: 35, 6: 0, 8: 15}[m]  # the subgroups of order m in F_2^4
+
+
+def _reference_format(s) -> str:
+    """The whole-text encoder that the block writer replaced, kept as the reference for its bytes."""
+    bits = masks_to_bits(s.element_masks(), s.n)
+    chars = np.empty(bits.shape + (3,), dtype=np.uint8)
+    chars[..., 0] = np.where(bits, ord("-"), ord("+"))
+    chars[..., 1] = ord("1")
+    chars[..., 2] = ord(" ")
+    chars[:, -1, 2] = ord("\n")
+    return f"NOS1 {s.n} {s.order}\n" + chars.tobytes().decode("ascii")
+
+
+def _writer_cases():
+    rng = np.random.default_rng(20)
+    for n in (1, 2, 3, 63, 64, 65, 130):
+        for rank in sorted({0, 1, min(n, 3), min(n, 7)}):
+            masks = [int.from_bytes(rng.bytes(n // 8 + 1), "little") % (1 << n) for _ in range(rank)]
+            yield n, subgroup_from_basis_masks(n, masks)
+    yield 2048, oracle_signflip(2048, 3)
+    yield 2048, oracle_signflip(2048, 11)
+
+
+@pytest.mark.parametrize("block", [16, 1 << 20])
+def test_written_bytes_equal_the_whole_text_reference(tmp_path, block):
+    path = tmp_path / "s.nos"
+    with _blocks_of(block):
+        for n, s in _writer_cases():
+            want = _reference_format(s).encode("ascii")
+            write_subgroup(path, s)
+            assert path.read_bytes() == want, (n, s.order)
+            assert format_subgroup(s).encode("ascii") == want, (n, s.order)
+
+
+def _fault_cases():
+    """The malformed texts above, and one fault at every token of small files.
+
+    The fault is a bad, missing or extra token, or a lone sign after the token.
+    """
+    for text, _fragment in MALFORMED:
+        yield text
+    yield "NOS1 3 4\n+1 +1 +1\n-1 +1 +1\n+1 -1 +1\n+1 +1 -1\n"  # not closed, naming a pair
+    yield "NOS1 2 2\n+1 +1\n-1.0 -1\n"
+    yield "NOS1 2 2\n+1 +1\n+1 -1\x00\n"
+    for n, rank in ((2, 2), (3, 2), (5, 3), (8, 3)):
+        s = subgroup_from_basis_masks(n, [1 << i for i in range(rank)])
+        rows = [["-1" if b else "+1" for b in row] for row in masks_to_bits(s.element_masks(), n)]
+        for r, c in itertools.product(range(len(rows)), range(n)):
+            for mutation in ("+2", "1-", None, "extra", "-1 -"):
+                mutated = [list(row) for row in rows]
+                if mutation is None:
+                    del mutated[r][c]
+                elif mutation == "extra":
+                    mutated[r].insert(c, "-1")
+                else:
+                    mutated[r][c] = mutation
+                yield f"NOS1 {n} {len(rows)}\n" + "".join(" ".join(row) + "\n" for row in mutated)
+
+
+def test_faults_on_both_sides_of_a_block_boundary_give_the_whole_text_message():
+    # 16-byte blocks end at the first break 16 or more bytes on: every few rows at n = 2, every row at n = 8,
+    # so the faults above sit in the last token before a boundary and in the first token after one
+    cases = list(_fault_cases())
+    assert len(cases) > 600
+    wants = [_outcome(parse_subgroup, text) for text in cases]
+    with _blocks_of(16):
+        for text, want in zip(cases, wants):
+            assert _outcome(parse_subgroup, text) == want, text
+            if "\x00" not in text:  # the reference reads '-1\x00' as '-1' (numpy strips trailing NULs)
+                assert want == _outcome(_reference_parse, text), text
+
+
+@pytest.mark.parametrize("block", [16, 1 << 20])
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\u2028"])
+def test_read_subgroup_gives_what_parse_subgroup_gives_on_the_text(tmp_path, block, newline):
+    # LF, CRLF and non-ASCII (U+2028) files read like the LF text
+    path = tmp_path / "s.nos"
+    cases = list(_fault_cases())[:: 7 if block == 16 else 1]
+    cases += [format_subgroup(oracle_signflip(64, 4)), "NOS1 2 2\r+1 +1\r\n\r\n+1 -1"]
+    cases += ["NOS1\xa02 2\n+1\u3000+1\n+1 -1\n", "NOS1 2 2\n+1 +1\n+1 \u22121\n"]
+    with _blocks_of(block):
+        for text in cases:
+            path.write_bytes(text.replace("\n", newline).encode("utf-8"))
+            assert _outcome(read_subgroup, path) == _outcome(parse_subgroup, text), text
+
+
+def test_read_subgroup_refuses_invalid_utf8(tmp_path):
+    path = tmp_path / "s.nos"
+    path.write_bytes(b"NOS1 2 2\n+1 +1\n+1 \xff1\n")  # read_text raised the same error
+    with pytest.raises(UnicodeDecodeError, match="position 18: invalid start byte"):
+        read_subgroup(path)
+
+
+def _peak(fn):
+    fn()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_write_subgroup_peak_memory_at_n_2048(tmp_path):
+    # rows go out in blocks of about 1 MiB: no text-sized str, bytes or bit array (48 MiB before)
+    s = oracle_signflip(2048, 11)
+    assert _peak(lambda: write_subgroup(tmp_path / "s.nos", s)) < 8 * 2**20
+
+
+def test_read_subgroup_peak_memory_at_n_2048(tmp_path):
+    # the file's bytes, the (M, n) bits and block-sized buffers: no str copy of the text (3.3 times the file before)
+    path = tmp_path / "s.nos"
+    write_subgroup(path, oracle_signflip(2048, 11))
+    assert _peak(lambda: read_subgroup(path)) < 2 * path.stat().st_size

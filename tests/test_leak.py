@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nos import construct
+from nos import construct, leak
 from nos.construct import iota_two_sample, oracle_orthogonal, oracle_signflip, two_adic_valuation, two_sample_oracle
 from nos.flipcore import SignFlipElement, SignFlipSubgroup, full_group, masks_to_bits, subgroup_from_basis_masks
 from nos.leak import (
@@ -21,6 +21,7 @@ from nos.leak import (
     matrix_representation,
     negate_closure,
 )
+from nos.testkit import Dataset, subgroup_test
 
 
 def test_direction_validation():
@@ -44,6 +45,13 @@ def test_non_finite_directions_and_columns_rejected():
     cols[1, 1] = np.nan
     with pytest.raises(ValueError, match="finite"):
         MatrixRepresentation(3, 2, cols)
+
+
+def test_direction_is_uniform_is_computed_once():
+    d = Direction.uniform(4)
+    assert "is_uniform" not in vars(d)
+    assert d.is_uniform and vars(d)["is_uniform"] is True
+    assert not Direction.from_vector([3.0, 4.0], normalize=True).is_uniform
 
 
 def test_direction_is_immutable():
@@ -286,9 +294,12 @@ def _reference_cases():
 def test_columns_built_from_signatures_equal_the_elementwise_reference(case):
     _name, s, iota = case
     rep = matrix_representation(s, iota)
+    assert "columns" not in vars(rep)  # written when first read
     want = _reference_columns(s, iota)
-    assert rep.columns.tobytes() == want.tobytes()  # the same bytes, -0.0 at flipped zero coordinates included
-    assert rep.columns.flags.c_contiguous and not rep.columns.flags.writeable
+    columns = rep.columns
+    assert columns.tobytes() == want.tobytes()  # the same bytes, -0.0 at flipped zero coordinates included
+    assert columns.flags.c_contiguous and not columns.flags.writeable
+    assert rep.columns is columns
     masks = s.element_masks()
     assert rep.signatures.tolist() == [
         sum(1 << b for b in range(s.rank) if masks[1 << b] >> i & 1) for i in range(s.n)
@@ -321,6 +332,76 @@ def test_duplicate_columns_rejected_exactly_when_an_element_flips_only_zero_coor
                 matrix_representation(s, iota)
         else:
             assert matrix_representation(s, iota).columns.tobytes() == _reference_columns(s, iota).tobytes()
+
+
+def test_materialised_columns_pass_the_unit_norm_check(monkeypatch):
+    rep = matrix_representation(oracle_signflip(8, 2))
+    monkeypatch.setattr(leak, "_UNIT_NORM_TOL", -1.0)  # no column can pass
+    with pytest.raises(ValueError, match="unit norm"):
+        rep.columns
+    with pytest.raises(AttributeError, match="no attribute 'colums'"):
+        rep.colums
+
+
+def test_one_shot_subgroup_test_at_n_2048_writes_no_columns():
+    # the representation and one transform-path test: signatures and O(n + M) more (32.3 MiB with the columns)
+    s = oracle_signflip(2048, 11)
+    data = Dataset(2048, 0.05 + np.random.default_rng(1).standard_normal(2048), Direction.uniform(2048))
+
+    def one_shot():
+        return subgroup_test(data, matrix_representation(s), 1 / 64)
+
+    one_shot()
+    tracemalloc.start()
+    try:
+        res = one_shot()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+    dense = MatrixRepresentation(2048, 2048, _reference_columns(s, data.iota))
+    assert res.exceed_count == subgroup_test(data, dense, 1 / 64).exceed_count
+
+
+def _product_cases():
+    rng = np.random.default_rng(21)
+    for n, rank in ((8, 3), (64, 6), (130, 7), (1024, 10)):
+        s = _random_subgroup(rng, n, rank)
+        yield s, Direction.uniform(n)
+        yield s, Direction.from_vector(rng.standard_normal(n), normalize=True)
+    for m in (4, 32, 512):
+        yield oracle_signflip(2 * m, two_adic_valuation(2 * m)), iota_two_sample(m, m)
+
+
+def test_representation_leaks_from_the_spectrum_match_the_column_products():
+    # the Gram entry (j, k) is the leak of j ^ k: delta without an M x M product
+    for s, iota in _product_cases():
+        rep = matrix_representation(s, iota)
+        summ = leak_summary(rep)
+        want = leak_summary(s, iota)
+        assert summ.distribution == want.distribution and summ.scaled_distribution == want.scaled_distribution
+        assert (summ.delta, summ.delta_abs) == (want.delta, want.delta_abs)
+        assert delta_from_matrix(rep) == want.delta
+        hand = MatrixRepresentation(rep.n, rep.M, rep.columns)  # the product path
+        tol = rep.n * np.finfo(float).eps
+        assert np.all(np.abs(np.subtract(leak_summary(hand).distribution, summ.distribution)) <= tol)
+        assert abs(leak_summary(hand).delta_abs - summ.delta_abs) <= tol
+        assert abs(delta_from_matrix(hand) - delta_from_matrix(rep)) <= tol
+
+
+def test_delta_from_matrix_peak_memory_at_n_2048():
+    # no M x M Gram (32 MiB at M = 2048)
+    iota = Direction.from_vector(np.arange(1.0, 2049.0), normalize=True)
+    rep = matrix_representation(oracle_signflip(2048, 11), iota)
+    delta_from_matrix(rep)
+    tracemalloc.start()
+    try:
+        delta = delta_from_matrix(rep)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20 and "columns" not in vars(rep)
+    assert delta == leak_summary(oracle_signflip(2048, 11), iota).delta
 
 
 def test_matrix_representation_peak_memory_at_n_2048():

@@ -429,6 +429,20 @@ def test_walsh_path_runs_only_where_the_rule_sends_it(monkeypatch):
     assert testkit._walsh_pays(1, 4096, 4096) and not testkit._walsh_pays(2, 4096, 4096)
 
 
+@pytest.mark.parametrize("side", ["one", "two"])
+def test_batch_counts_through_a_lazy_representation_equal_the_hand_built_ones(side):
+    rng = np.random.default_rng(22)
+    v = rng.standard_normal(256)
+    v[::5] = 0.0
+    for rep in (matrix_representation(oracle_signflip(256, 8)),
+                matrix_representation(_random_subgroup(rng, 256, 8), Direction.from_vector(v, normalize=True))):
+        X = rng.standard_normal((30, 256))
+        X[::3] = np.rint(X[::3])  # integer rows, which tie exactly under the uniform direction
+        lazy = exceed_counts("subgroup", X, side, rep=rep)  # the columns are written here
+        hand = exceed_counts("subgroup", X, side, rep=MatrixRepresentation(rep.n, rep.M, rep.columns))
+        assert np.array_equal(lazy[0], hand[0]) and np.array_equal(lazy[1], hand[1])
+
+
 def test_mc_signflip_with_replacement_counts_drawn_ties():
     # x = (3, 1, 5), two-sided: the patterns +-I reach |3 + 1 + 5| = 9
     # exactly and no other pattern comes near, so every draw of them counts
