@@ -123,7 +123,7 @@ class MatrixRepresentation:
         for b in range(self.M.bit_length() - 1):  # column j + 2^b is column j, negated where bit b of sig_i is set
             h = 1 << b
             np.multiply(cols[:, :h], np.where(self.signatures >> b & 1, -1.0, 1.0)[:, None], out=cols[:, h : 2 * h])
-        _check_unit_columns(cols)
+        _check_unit_columns(cols[:, :1])  # every column squares to iota's squares exactly, so has column 0's norm
         cols.flags.writeable = False
         object.__setattr__(self, "columns", cols)
         return cols

@@ -2,6 +2,8 @@
 
 import contextlib
 import itertools
+import os
+import threading
 import tracemalloc
 
 import numpy as np
@@ -354,6 +356,83 @@ def test_read_subgroup_refuses_invalid_utf8(tmp_path):
         read_subgroup(path)
 
 
+@pytest.fixture
+def parser_calls(monkeypatch):
+    """The texts that reach the full parser: a canonical file that takes the check adds none."""
+    calls = []
+    parse = nos_io._parse_nos
+    monkeypatch.setattr(nos_io, "_parse_nos", lambda data, text=None: calls.append(data) or parse(data, text))
+    return calls
+
+
+def test_canonical_files_take_the_check_and_give_the_parsers_subgroup(tmp_path, parser_calls):
+    path = tmp_path / "s.nos"
+    seen = set()
+    for n, s in [*_writer_cases(), (1, subgroup_from_basis_masks(1, [1]))]:
+        text = format_subgroup(s)
+        want = nos_io._parse_nos(text.encode("ascii"))
+        parser_calls.clear()
+        write_subgroup(path, s)
+        assert read_subgroup(path) == want, (n, s.order)  # the same basis and elements
+        assert parse_subgroup(text) == want, (n, s.order)
+        assert len(parser_calls) == 2 * (s.order == 1), (n, s.order)  # M = 1 is left to the parser
+        if s.order > 1:
+            seen.add(n)
+    assert seen == {1, 2, 3, 63, 64, 65, 130, 2048}
+
+
+def _near_canonical_texts():
+    """Texts at most a line away from canonical ones, and canonical ones the check leaves to the parser."""
+    s = subgroup_from_basis_masks(5, [0b00011, 0b01100, 0b10001])
+    text = format_subgroup(s)
+    row = [9 + 15 * r for r in range(9)]  # the first byte of each row
+    for at, new in [(0, "M"), (4, "\t"), (5, "6"),  # the header
+                    (row[2], "-"), (row[2] + 3, "-"), (row[2] + 4, "2"), (row[4] + 2, "\t"),  # basis rows 2 and 4
+                    (row[3], "+"), (row[7] + 4, "+"), (row[6] + 5, "\n"),  # non-basis rows
+                    (len(text) - 1, " "), (len(text) - 1, "x")]:  # the last byte
+        yield text[:at] + new + text[at + 1 :]
+    yield text[:-1]  # a truncated tail
+    yield text[:-2]
+    yield text[: row[7]]
+    yield text + "\n"  # an extra trailing line
+    yield text + text.splitlines(keepends=True)[-1]
+    yield text.replace("\n", "\r\n")
+    yield text.replace("\n", "\u2028")
+    yield "NOS1 02 2\n+1 +1\n+1 -1\n"  # a header with a leading zero
+    yield "NOS1 3 1\n+1 +1 +1\n"  # M = 1
+    yield "NOS1 2 3\n+1 +1\n-1 +1\n+1 -1\n"  # M not a power of two
+    yield "NOS1 2 4\n+1 +1\n+1 -1\n+1 -1\n-1 +1\n"  # dependent basis rows
+    yield "NOS1 2 4\n+1 +1\n+1 -1\n+1 +1\n+1 -1\n"
+
+
+def test_files_that_differ_from_canonical_take_the_parser(tmp_path, parser_calls):
+    path = tmp_path / "s.nos"
+    outcomes = set()
+    for text in _near_canonical_texts():
+        path.write_bytes(text.encode("utf-8"))
+        parser_calls.clear()
+        want = _outcome(parse_subgroup, text)
+        assert _outcome(read_subgroup, path) == want, text
+        assert len(parser_calls) == 2, text  # once for each
+        outcomes.add(want[0])
+    assert outcomes == {"ok", "error"}
+
+
+def test_read_subgroup_reads_a_pipe(tmp_path):
+    # a pipe cannot seek, so it is read whole and parsed
+    path = tmp_path / "s.fifo"
+    os.mkfifo(path)
+    text = format_subgroup(subgroup_from_basis_masks(5, [0b00011, 0b01100]))
+    writer = threading.Thread(target=path.write_text, args=(text,))
+    writer.start()
+    try:
+        got = read_subgroup(path)
+    finally:
+        writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert got == parse_subgroup(text)
+
+
 def _peak(fn):
     fn()
     tracemalloc.start()
@@ -370,8 +449,24 @@ def test_write_subgroup_peak_memory_at_n_2048(tmp_path):
     assert _peak(lambda: write_subgroup(tmp_path / "s.nos", s)) < 8 * 2**20
 
 
+def test_read_subgroup_of_a_canonical_file_peaks_below_8_mib_at_n_2048(tmp_path):
+    # compared block by block with the writer's bytes: no file-sized bytes and no (M, n) bits (19 MiB before)
+    path = tmp_path / "s.nos"
+    write_subgroup(path, oracle_signflip(2048, 11))
+    assert _peak(lambda: read_subgroup(path)) < 8 * 2**20
+
+
 def test_read_subgroup_peak_memory_at_n_2048(tmp_path):
     # the file's bytes, the (M, n) bits and block-sized buffers: no str copy of the text (3.3 times the file before)
     path = tmp_path / "s.nos"
     write_subgroup(path, oracle_signflip(2048, 11))
+    assert _peak(lambda: read_subgroup(path)) < 2 * path.stat().st_size
+
+
+def test_files_that_take_the_parser_keep_the_parsers_memory_bounds(tmp_path):
+    # the bounds of the parse and read pins above, whose canonical texts now take the check, on CRLF text
+    text = format_subgroup(oracle_signflip(1024, 10)).replace("\n", "\r\n")
+    assert _peak(lambda: parse_subgroup(text)) <= 3 * len(text)
+    path = tmp_path / "s.nos"
+    path.write_bytes(format_subgroup(oracle_signflip(2048, 11)).replace("\n", "\r\n").encode("ascii"))
     assert _peak(lambda: read_subgroup(path)) < 2 * path.stat().st_size

@@ -306,6 +306,16 @@ def test_columns_built_from_signatures_equal_the_elementwise_reference(case):
     ]
 
 
+@pytest.mark.parametrize("case", list(_reference_cases()), ids=lambda c: c[0])
+def test_written_columns_have_the_norm_of_column_0_bit_for_bit(case):
+    # each written entry is +-iota_i, so its square is iota_i^2 exactly: checking column 0 checks them all
+    _name, s, iota = case
+    columns = matrix_representation(s, iota).columns
+    norms = np.einsum("ij,ij->j", columns, columns)
+    first = np.einsum("ij,ij->j", columns[:, :1], columns[:, :1])  # what the check of column 0 computes
+    assert norms.tobytes() == np.full(s.order, first[0]).tobytes()
+
+
 def test_two_sample_oracle_columns_equal_the_elementwise_reference(monkeypatch):
     seen = []
     build = construct.matrix_representation
