@@ -111,9 +111,10 @@ def _write_nos(fh, s: SignFlipSubgroup) -> None:
     chars[:, -1, 2] = ord("\n")
     for lo in range(0, len(masks), rows):
         block = chars[: len(masks) - lo]
-        signs = block[..., 0]
-        np.multiply(masks_to_bits(masks[lo : lo + rows], n).view(np.uint8), 2, out=signs)
-        signs += ord("+")  # "-" is "+" + 2
+        signs = masks_to_bits(masks[lo : lo + rows], n).view(np.uint8)
+        signs <<= 1
+        signs += ord("+")  # "-" is "+" + 2, in the contiguous bits; then one strided copy
+        block[..., 0] = signs
         fh.write(block)
 
 

@@ -5,23 +5,44 @@ probes on the fixed-norm sphere model, power curves, null size audits,
 p-value-variability comparisons, and an exploratory probe of the
 subgroup-vs-Monte-Carlo power ordering.
 
-Every experiment draws from a generator derived deterministically from
-(seed, cell index) through SeedSequence spawn keys, so reports are
-bit-reproducible and independent of evaluation order; replications are
-vectorized in fixed-size chunks.
+Replications run in blocks of 4 096 rows (``testkit._CHUNK``), so an
+experiment holds one block of data at any number of replications. Each
+random role draws from its own generator, the SeedSequence child of the
+seed (entropy 0 when the seed is None) with this spawn key:
+
+- ``()``, the data: one noise block eps per block of rows, shared by every
+  cell of the call. A power-table cell tests mu iota + eps and a sphere
+  cell snr iota + eps, so all cells run on the same datasets (common
+  random numbers).
+- ``(i,)``, the Monte Carlo draws of cell i: in roster order (test, then
+  M, then mu) in ``power_table``, in snr order in ``power_curve`` and
+  ``conjecture_probe``, and 0 for the one cell of ``size_audit`` and
+  ``pvalue_variability``.
+- ``(1,)``, the coordinate permutations of ``pvalue_variability``.
+- ``consistency_probe`` has no Monte Carlo draws and draws its data from
+  ``(0,)``.
+
+The keys of one call differ, and none depends on the blocks. Each block is
+one Monte Carlo chunk of ``exceed_counts``, so a cell draws what it would
+draw on the whole replication set at once. A cell's result therefore
+depends on the seed, its own settings and, if it draws, its index, and not
+on the order cells run in: a cell without Monte Carlo draws (t, the
+oracles, ``subgroup:<name>``) gives the same power whatever else the
+roster holds. Reports are bit-reproducible.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from .construct import oracle_orthogonal, oracle_signflip
 from .leak import Direction, MatrixRepresentation, matrix_representation
 from .special import beta_sym_quantile
-from .testkit import exceed_counts
+from .testkit import _CHUNK, exceed_counts
 
 __all__ = [
     "SimConfig",
@@ -37,10 +58,10 @@ __all__ = [
 _KNOWN_TESTS = ("t", "mc-z", "mc-signflip", "mc-orthogonal", "oracle-signflip", "oracle-orthogonal")
 
 
-def _cell_rng(seed, index: int) -> np.random.Generator:
-    """Independent substream for one experiment cell, stable under reordering."""
+def _cell_rng(seed, *key: int) -> np.random.Generator:
+    """The generator of one role: spawn key () for the data, (i,) for cell i (see the module docstring)."""
     entropy = 0 if seed is None else seed
-    return np.random.default_rng(np.random.SeedSequence(entropy=entropy, spawn_key=(index,)))
+    return np.random.default_rng(np.random.SeedSequence(entropy=entropy, spawn_key=key))
 
 
 def _se(phat: float, reps: int) -> float:
@@ -121,20 +142,37 @@ class SimReport:
         return {"config": cfg, "cells": self.cells}
 
 
-def _noise(rng: np.random.Generator, reps: int, n: int, model: str, sigma: float, norm_eps: float) -> np.ndarray:
+def _noise(
+    rng: np.random.Generator, reps: int, n: int, model: str, sigma: float = 1.0, norm_eps: float = 1.0
+) -> np.ndarray:
     if model == "normal":
         return sigma * rng.standard_normal((reps, n))
     g = rng.standard_normal((reps, n))
     return norm_eps * g / np.linalg.norm(g, axis=1, keepdims=True)
 
 
-def _t_rejects(X: np.ndarray, iota: np.ndarray, alpha: float, side: str) -> np.ndarray:
-    """Closed-form orthogonal-group (equivalently t-) test, vectorized."""
-    n = X.shape[1]
-    z = (X @ iota) / np.linalg.norm(X, axis=1)
-    if side == "one":
-        return z >= beta_sym_quantile(1.0 - alpha, n)
-    return np.abs(z) >= beta_sym_quantile(1.0 - alpha / 2.0, n)
+def _tally(reps: int, noise, cells, outcomes: int = 2) -> np.ndarray:
+    """(cells, outcomes) counts: how many of ``reps`` replications gave each cell each outcome code.
+
+    ``noise(c)`` draws the next block's (c, n) noise, and each cell maps a
+    block to one code in range(outcomes) per row. Blocks are _CHUNK rows.
+    """
+    counts = np.zeros((len(cells), outcomes), dtype=np.int64)
+    for lo in range(0, reps, _CHUNK):
+        eps = noise(min(_CHUNK, reps - lo))
+        for row, cell in zip(counts, cells):
+            row += np.bincount(cell(eps), minlength=outcomes)
+    return counts
+
+
+def _cell(rejects, shift, rng):
+    """A cell of a call: ``rejects`` at shift + eps of each noise block, with the cell's own generator."""
+    return lambda eps: rejects(shift + eps, rng)
+
+
+def _subgroup_rejects(rep: MatrixRepresentation, alpha: float, side: str = "one"):
+    """rejects(X, rng) of the subgroup test over ``rep``, which draws nothing and ignores rng."""
+    return lambda X, rng=None: exceed_counts("subgroup", X, side, rep=rep)[0] / rep.M <= alpha
 
 
 def _resolve_rep(test_id: str, n: int, M: int, iota: Direction, subgroup_reps: dict) -> MatrixRepresentation:
@@ -154,56 +192,61 @@ def _resolve_rep(test_id: str, n: int, M: int, iota: Direction, subgroup_reps: d
 
 def _rejects_for(
     test_id: str,
-    X: np.ndarray,
+    n: int,
     iota: Direction,
     M: int,
     alpha: float,
     side: str,
     mc_mode: str,
     sigma: float,
-    rng: np.random.Generator,
     subgroup_reps: dict,
-) -> np.ndarray:
-    if test_id == "t":
-        return _t_rejects(X, iota.coords, alpha, side)
+):
+    """rejects(X, rng), the rejection indicators of one test on a block X, with its constants computed once."""
+    if test_id == "t":  # the closed-form orthogonal-group (equivalently t-) test
+        crit = beta_sym_quantile(1.0 - alpha if side == "one" else 1.0 - alpha / 2.0, n)
+
+        def rejects(X, rng):
+            z = (X @ iota.coords) / np.linalg.norm(X, axis=1)
+            return (z if side == "one" else np.abs(z)) >= crit
+
+        return rejects
     if test_id.startswith("mc-"):
-        counts, _obs = exceed_counts(
+        return lambda X, rng: exceed_counts(
             test_id, X, side, iota=iota.coords, M=M, replacement=mc_mode, sigma=sigma, rng=rng
-        )
-        return counts / M <= alpha
-    rep = _resolve_rep(test_id, X.shape[1], M, iota, subgroup_reps)
-    counts, _obs = exceed_counts("subgroup", X, side, rep=rep)
-    return counts / rep.M <= alpha
+        )[0] / M <= alpha
+    return _subgroup_rejects(_resolve_rep(test_id, n, M, iota, subgroup_reps), alpha, side)
 
 
 def power_table(config: SimConfig, side: str = "one") -> SimReport:
-    """Rejection proportion for every (test, M, mu) cell of the config."""
-    iota = Direction.uniform(config.n)
-    cells = []
-    index = 0
+    """Rejection proportion for every (test, M, mu) cell of the config.
+
+    Replications run in 4 096-row blocks. Every cell tests mu iota + eps on
+    the same noise blocks eps, drawn once from the data generator, and cell
+    i (roster order: test, then M, then mu) draws its Monte Carlo
+    transformations from its own generator, spawn key (i,). Memory is one
+    block's at any ``config.replications``, and a cell without Monte Carlo
+    draws has the same power whatever else the roster holds.
+    """
+    n = config.n
+    iota = Direction.uniform(n)
+    keys, cells = [], []
     for test_id in config.tests:
         for M in config.M_values:
+            rejects = _rejects_for(
+                test_id, n, iota, M, config.alpha, side, config.mc_mode, config.sigma, config.subgroup_reps
+            )
             for mu in config.mu_grid:
-                rng = _cell_rng(config.seed, index)
-                index += 1
-                X = mu * iota.coords + _noise(
-                    rng, config.replications, config.n, config.model, config.sigma, config.norm_eps
-                )
-                rej = _rejects_for(
-                    test_id, X, iota, M, config.alpha, side, config.mc_mode,
-                    config.sigma, rng, config.subgroup_reps,
-                )
-                phat = float(np.mean(rej))
-                cells.append(
-                    {
-                        "test": test_id,
-                        "M": M,
-                        "mu": mu,
-                        "power": phat,
-                        "se": _se(phat, config.replications),
-                    }
-                )
-    return SimReport(config=config, cells=cells)
+                cells.append(_cell(rejects, mu * iota.coords, _cell_rng(config.seed, len(cells))))
+                keys.append((test_id, M, mu))
+    noise = partial(
+        _noise, _cell_rng(config.seed), n=n, model=config.model, sigma=config.sigma, norm_eps=config.norm_eps
+    )
+    counts = _tally(config.replications, noise, cells)
+    out = []
+    for (test_id, M, mu), (_kept, rejected) in zip(keys, counts):
+        phat = float(rejected / config.replications)
+        out.append({"test": test_id, "M": M, "mu": mu, "power": phat, "se": _se(phat, config.replications)})
+    return SimReport(config=config, cells=out)
 
 
 def consistency_probe(
@@ -214,36 +257,39 @@ def consistency_probe(
     Fixed-norm-sphere model with unit noise norm and signal snr along the
     representation's own direction; alpha defaults to 1/M, the regime
     where the consistency threshold sqrt(2)/sqrt(1 - delta) is sharp.
+    The test has no Monte Carlo draws, so one generator, spawn key (0,),
+    draws the noise, in 4 096-row blocks: memory is one block's at any
+    ``reps``, and the count is the one a single draw of all rows gives.
     """
     if reps < 1:
         raise ValueError("need at least one replication")
-    M = rep_subgroup.M
     if alpha is None:
-        alpha = 1.0 / M
-    iota = rep_subgroup.iota
-    rng = _cell_rng(seed, 0)
-    count = 0
-    for lo in range(0, reps, 1 << 16):
-        c = min(1 << 16, reps - lo)
-        X = snr * iota + _noise(rng, c, rep_subgroup.n, "fixed-norm-sphere", 1.0, 1.0)
-        counts, _obs = exceed_counts("subgroup", X, rep=rep_subgroup)
-        count += int(np.count_nonzero(counts / M <= alpha))
+        alpha = 1.0 / rep_subgroup.M
+    noise = partial(_noise, _cell_rng(seed, 0), n=rep_subgroup.n, model="fixed-norm-sphere")
+    cell = _cell(_subgroup_rejects(rep_subgroup, alpha), snr * rep_subgroup.iota, None)
+    count = int(_tally(reps, noise, [cell])[0, 1])
     return {"all_rejected": count == reps, "count": count, "replications": reps}
 
 
 def _sphere_cells(n: int, M: int, rep: MatrixRepresentation, snr_grid, reps: int, seed):
-    """Per snr: the power_curve row, then the subgroup and MC-orthogonal rejection indicators.
+    """Per snr: the power_curve row, then the (2, 2) counts of (subgroup, MC-orthogonal) rejections.
 
-    Both tests run on the same sphere-model draws of the snr's cell.
+    Entry [a, b] of the counts is the number of datasets on which the
+    subgroup test's rejection is a and the MC test's is b. Every snr cell
+    tests snr iota + eps on the same noise blocks, and both of its tests run
+    on the same datasets; cell i's MC draws come from spawn key (i,).
     """
     alpha = 1.0 / M
-    for i, snr in enumerate(snr_grid):
-        rng = _cell_rng(seed, i)
-        X = float(snr) * rep.iota + _noise(rng, reps, n, "fixed-norm-sphere", 1.0, 1.0)
-        sub_counts, _obs = exceed_counts("subgroup", X, rep=rep)
-        mc_counts, _obs = exceed_counts("mc-orthogonal", X, iota=rep.iota, M=M, rng=rng)
-        sub_rej, mc_rej = sub_counts / M <= alpha, mc_counts / M <= alpha
-        sub, mc = float(np.mean(sub_rej)), float(np.mean(mc_rej))
+    subgroup = _subgroup_rejects(rep, alpha)
+
+    def outcomes(X, rng):
+        mc = exceed_counts("mc-orthogonal", X, iota=rep.iota, M=M, rng=rng)[0] / M <= alpha
+        return 2 * subgroup(X) + mc
+
+    noise = partial(_noise, _cell_rng(seed), n=n, model="fixed-norm-sphere")
+    cells = [_cell(outcomes, float(snr) * rep.iota, _cell_rng(seed, i)) for i, snr in enumerate(snr_grid)]
+    for snr, table in zip(snr_grid, _tally(reps, noise, cells, 4).reshape(-1, 2, 2)):
+        sub, mc = float(table[1].sum() / reps), float(table[:, 1].sum() / reps)
         row = {
             "snr": float(snr),
             "subgroup_power": sub,
@@ -251,7 +297,7 @@ def _sphere_cells(n: int, M: int, rep: MatrixRepresentation, snr_grid, reps: int
             "mc_orthogonal_power": mc,
             "mc_orthogonal_se": _se(mc, reps),
         }
-        yield row, sub_rej, mc_rej
+        yield row, table
 
 
 def power_curve(
@@ -260,7 +306,7 @@ def power_curve(
     """Subgroup-test and MC-orthogonal-test power on the sphere model, per snr."""
     if rep_subgroup.n != n or rep_subgroup.M != M:
         raise ValueError("representation does not match the requested n, M")
-    return [row for row, _sub, _mc in _sphere_cells(n, M, rep_subgroup, snr_grid, reps, seed)]
+    return [row for row, _table in _sphere_cells(n, M, rep_subgroup, snr_grid, reps, seed)]
 
 
 def pvalue_variability(
@@ -279,7 +325,9 @@ def pvalue_variability(
     direction is permutation-invariant, so only the subgroup's view of
     the coordinates changes), while the MC sign-flip test is re-run with
     fresh with-replacement draws; both p-value variances are averaged
-    over datasets.
+    over datasets. Datasets, permutations and MC draws have their own
+    generators (spawn keys (), (1,) and (0,)), so the subgroup figure does
+    not depend on the MC draws.
     """
     from .construct import greedy_near_oracle  # deferred: heavy only when needed
 
@@ -288,17 +336,15 @@ def pvalue_variability(
     if rep_subgroup.n != n or rep_subgroup.M != M:
         raise ValueError("representation does not match the requested n, M")
     iota = Direction.uniform(n)
-    rng = _cell_rng(seed, 0)
+    data, perms, mc = _cell_rng(seed), _cell_rng(seed, 1), _cell_rng(seed, 0)
     var_sub = np.empty(n_datasets)
     var_mc = np.empty(n_datasets)
-    for d in range(n_datasets):
-        x = mu + rng.standard_normal(n)
-        tiled = np.tile(x, (n_resamples, 1))
-        perms = rng.permuted(tiled, axis=1)
-        sub, _obs = exceed_counts("subgroup", perms, rep=rep_subgroup)
-        mc, _obs = exceed_counts("mc-signflip", tiled, iota=iota.coords, M=M, replacement="with", rng=rng)
+    for d in range(n_datasets):  # one dataset at a time: batching them was measured slower
+        tiled = np.tile(mu + data.standard_normal(n), (n_resamples, 1))
+        sub, _obs = exceed_counts("subgroup", perms.permuted(tiled, axis=1), rep=rep_subgroup)
+        flips, _obs = exceed_counts("mc-signflip", tiled, iota=iota.coords, M=M, replacement="with", rng=mc)
         var_sub[d] = np.var(sub / M)
-        var_mc[d] = np.var(mc / M)
+        var_mc[d] = np.var(flips / M)
     return {
         "avg_var_subgroup_permuted": float(np.mean(var_sub)),
         "avg_var_mc": float(np.mean(var_mc)),
@@ -318,14 +364,17 @@ def size_audit(
     side: str = "one",
     subgroup_reps: dict | None = None,
 ) -> float:
-    """Null rejection rate of one test; must not exceed alpha materially."""
+    """Null rejection rate of one test; must not exceed alpha materially.
+
+    The data and the test's Monte Carlo draws have their own generators
+    (spawn keys () and (0,)), and replications run in 4 096-row blocks.
+    """
     subgroup_reps = subgroup_reps or {}
     _check_test_id(test_id, n, subgroup_reps)
     iota = Direction.uniform(n)
-    rng = _cell_rng(seed, 0)
-    X = _noise(rng, reps, n, "normal", 1.0, 1.0)
-    rej = _rejects_for(test_id, X, iota, M if M is not None else n, alpha, side, mc_mode, 1.0, rng, subgroup_reps)
-    return float(np.mean(rej))
+    rejects = _rejects_for(test_id, n, iota, M if M is not None else n, alpha, side, mc_mode, 1.0, subgroup_reps)
+    noise = partial(_noise, _cell_rng(seed), n=n, model="normal")
+    return float(_tally(reps, noise, [_cell(rejects, 0.0, _cell_rng(seed, 0))])[0, 1] / reps)
 
 
 def conjecture_probe(n: int, M: int, snr_grid, reps: int, seed=None) -> list:
@@ -335,15 +384,16 @@ def conjecture_probe(n: int, M: int, snr_grid, reps: int, seed=None) -> list:
     asserts nothing. The subgroup side uses the zero-leak orthogonal
     construction, so any order M <= n is available at every n. Both sides
     run on the same datasets, so ``difference_se`` is the standard error
-    of the paired per-dataset differences.
+    of the paired per-dataset differences: +1 where the subgroup test
+    alone rejects, -1 where the MC test alone does, 0 elsewhere.
     """
     if n < 2:
         raise ValueError("need n >= 2")
     rep = oracle_orthogonal(n, M, Direction.uniform(n))
     rows = []
-    for row, sub_rej, mc_rej in _sphere_cells(n, M, rep, snr_grid, reps, seed):
-        diff = sub_rej.astype(float) - mc_rej
+    for row, table in _sphere_cells(n, M, rep, snr_grid, reps, seed):
+        sub_only, mc_only = table[1, 0] / reps, table[0, 1] / reps
         row["power_difference"] = row["subgroup_power"] - row["mc_orthogonal_power"]
-        row["difference_se"] = float(np.std(diff) / np.sqrt(reps))
+        row["difference_se"] = float(np.sqrt((sub_only + mc_only - (sub_only - mc_only) ** 2) / reps))
         rows.append(row)
     return rows

@@ -2,11 +2,13 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from nos.construct import oracle_orthogonal, oracle_signflip
+from nos import simlab
+from nos.construct import greedy_near_oracle, oracle_orthogonal, oracle_signflip
 from nos.leak import Direction, matrix_representation
 from nos.simlab import (
     SimConfig,
@@ -137,6 +139,61 @@ def test_consistency_probe_above_threshold():
     assert out["all_rejected"] and out["count"] == REPS
 
 
+def test_consistency_probe_counts_are_pinned():
+    # the 4 096-row blocks draw the same normals, in the same order, as the
+    # earlier 65 536-row blocks did: criterion 06's seeds, and a greedy
+    # subgroup at n = 24
+    rep8 = _oracle_rep(8)
+    assert consistency_probe(rep8, 1.5, 100_000, seed=11)["count"] == 100_000
+    assert consistency_probe(rep8, 1.30, 100_000, seed=12)["count"] == 99_835
+    rep24 = matrix_representation(greedy_near_oracle(24, 32, seed=1))
+    assert consistency_probe(rep24, 1.0, 100_000, seed=3)["count"] == 99_656
+
+
+def _powers(tests, **kw):
+    cfg = SimConfig(n=16, mu_grid=(0.0, 0.5), M_values=(16,), tests=tests, replications=5000, alpha=1 / 16,
+                    seed=12, **kw)
+    return {(c["test"], c["mu"]): c["power"] for c in power_table(cfg).cells}
+
+
+def test_cells_without_mc_draws_ignore_the_rest_of_the_roster():
+    named = {"o": oracle_signflip(16, 4)}
+    alone = {t: _powers((t,), subgroup_reps=named) for t in ("t", "oracle-signflip", "subgroup:o")}
+    full = _powers(("mc-signflip", "t", "mc-z", "subgroup:o", "oracle-signflip"), subgroup_reps=named)
+    for t, cells in alone.items():
+        for key, power in cells.items():
+            assert full[key] == power, key
+    # every cell tests the same datasets, so the named copy of the oracle agrees with it cell by cell
+    assert full[("subgroup:o", 0.5)] == full[("oracle-signflip", 0.5)]
+
+
+def test_power_table_cell_draws_what_one_whole_set_call_draws():
+    # replay cell 3 (mc-signflip, M = 16, mu = 0.5) over 9 000 rows, three
+    # blocks: the data and the cell's MC draws made in one call each
+    n, M, reps, seed = 8, 16, 9000, 31
+    cfg = SimConfig(n=n, mu_grid=(0.0, 0.5), M_values=(8, M), tests=("mc-signflip",), replications=reps,
+                    alpha=1 / 8, seed=seed)
+    cell = power_table(cfg).cells[3]
+    assert (cell["M"], cell["mu"]) == (M, 0.5)
+    iota = Direction.uniform(n)
+    X = 0.5 * iota.coords + _noise(_cell_rng(seed), reps, n, "normal", 1.0, 1.0)
+    counts = exceed_counts("mc-signflip", X, iota=iota.coords, M=M, rng=_cell_rng(seed, 3))[0]
+    assert cell["power"] == np.count_nonzero(counts / M <= 1 / 8) / reps
+
+
+def test_power_table_memory_is_one_block_at_n_256():
+    # 20 000 rows at n = 256: the whole noise array alone is 39 MiB
+    cfg = SimConfig(n=256, mu_grid=(0.2,), M_values=(16,), tests=("t", "mc-z"), replications=20_000,
+                    alpha=1 / 16, seed=1)
+    tracemalloc.start()
+    try:
+        power_table(cfg)
+        _size, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20, peak / 2**20
+
+
 def test_power_curve_shape_and_endpoints():
     rep = _oracle_rep(8)
     rows = power_curve(8, 8, rep, [0.0, 2.0], 4000, seed=3)
@@ -152,6 +209,22 @@ def test_pvalue_variability_ordering():
     assert 0.0 < out["avg_var_subgroup_permuted"] < out["avg_var_mc"]
 
 
+def test_pvalue_variability_subgroup_figure_ignores_the_mc_stream(monkeypatch):
+    rep = _oracle_rep(16)
+    base = pvalue_variability(16, 0.5, 16, 20, 100, seed=4, rep_subgroup=rep)
+    real = simlab.exceed_counts
+
+    def other_mc_stream(family, X, side="one", **kw):
+        if family.startswith("mc-"):
+            kw["rng"] = np.random.default_rng(99)
+        return real(family, X, side, **kw)
+
+    monkeypatch.setattr(simlab, "exceed_counts", other_mc_stream)
+    moved = pvalue_variability(16, 0.5, 16, 20, 100, seed=4, rep_subgroup=rep)
+    assert moved["avg_var_subgroup_permuted"] == base["avg_var_subgroup_permuted"]
+    assert moved["avg_var_mc"] != base["avg_var_mc"]
+
+
 def test_conjecture_probe_reports_differences():
     rows = conjecture_probe(10, 10, [0.0, 1.0], 4000, seed=6)
     assert len(rows) == 2
@@ -164,15 +237,16 @@ def test_conjecture_probe_reports_differences():
 
 def test_conjecture_probe_difference_se_is_paired():
     # replay the snr = 1 cell: both tests reject on the same datasets, so the
-    # SE is that of the per-dataset differences of the two indicators
+    # SE is that of the per-dataset differences of the two indicators. The
+    # data come from spawn key (), cell 1's MC draws from (1,); 4 000 rows are
+    # one block
     n = M = 10
     reps = 4000
     row = conjecture_probe(n, M, [0.0, 1.0], reps, seed=6)[1]
     rep = oracle_orthogonal(n, M, Direction.uniform(n))
-    rng = _cell_rng(6, 1)
-    X = 1.0 * rep.iota + _noise(rng, reps, n, "fixed-norm-sphere", 1.0, 1.0)
+    X = 1.0 * rep.iota + _noise(_cell_rng(6), reps, n, "fixed-norm-sphere", 1.0, 1.0)
     sub = exceed_counts("subgroup", X, rep=rep)[0] / M <= 1 / M
-    mc = exceed_counts("mc-orthogonal", X, iota=rep.iota, M=M, rng=rng)[0] / M <= 1 / M
+    mc = exceed_counts("mc-orthogonal", X, iota=rep.iota, M=M, rng=_cell_rng(6, 1))[0] / M <= 1 / M
     diff = sub.astype(float) - mc
     assert row["power_difference"] == pytest.approx(diff.mean(), abs=1e-12)
     assert row["difference_se"] == pytest.approx(diff.std() / math.sqrt(reps), rel=1e-12)
