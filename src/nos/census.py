@@ -18,8 +18,12 @@ leak multiset is the weight distribution, MacWilliams duality derives
 ranks above n // 2 from those below.
 
 The heavy path is one serial loop over pivot sets, vectorized with numpy
-over batches of at most _BATCH_ELEMS group elements; a batch's element
-columns 2^j are its subgroups' basis rows.
+over batches of at most _BATCH_ELEMS group elements. One XOR doubling,
+``_span_rows``, expands basis rows into elements, for the batches and for
+the representatives, whose classes are merged, coded and ordered in array
+passes. Along a random direction at n = 8 each of the 417 199 subgroups
+is its own class: ``leak_census`` takes 2.4-3.0 s, and one-shot ``nos
+census --n 8 --iota`` 12-15 s at 520 MiB peak RSS (2 vCPU), mostly writing JSON.
 """
 
 from __future__ import annotations
@@ -33,9 +37,7 @@ from typing import Iterator
 import numpy as np
 
 from .construct import two_adic_valuation
-from .flipcore import (
-    SignFlipSubgroup, _enumerate_span, _rref_basis, subgroup_from_basis_masks
-)
+from .flipcore import SignFlipSubgroup, _rref_basis, subgroup_from_basis_masks
 from .leak import Direction, _leak_spectrum
 
 #: above this dimension enumeration will not finish at desk scale
@@ -104,14 +106,22 @@ def enumerate_subgroups(n: int, p: int, allow_large: bool = False) -> Iterator[S
             yield subgroup_from_basis_masks(n, list(rows))
 
 
-def _pivotset_batches(n: int, pivots: tuple[int, ...]):
-    """Yield the element arrays of all subgroups with the given pivots.
+def _span_rows(rows):
+    """The (K, 2^p) elements spanned by (K, p) basis rows: column i is the XOR of the rows at the set bits of i."""
+    # filled as the transpose, so that each column is one contiguous row
+    columns = np.zeros((1 << rows.shape[1], len(rows)), dtype=rows.dtype)
+    for j in range(rows.shape[1]):
+        np.bitwise_xor(columns[: 1 << j], rows[:, j], out=columns[1 << j : 2 << j])
+    return columns.T
 
-    Each is an integer array of shape (K, 2^p), one subgroup per row in the
-    order of ``enumerate_subgroups``. Column i is the XOR of the reduced
-    echelon basis rows at the set bits of i, so column 2^j is basis row j.
-    The product over free entries is split so that a batch holds at most
-    _BATCH_ELEMS elements, or one subgroup's 2^p when that is more.
+
+def _pivotset_batches(n: int, pivots: tuple[int, ...]):
+    """Yield the (K, 2^p) ``_span_rows`` of all reduced echelon bases with the given pivots.
+
+    One subgroup per row in the order of ``enumerate_subgroups``, so column
+    2^j is basis row j. The product over free entries is split so that a
+    batch holds at most _BATCH_ELEMS elements, or one subgroup's 2^p when
+    that is more.
     """
     p = len(pivots)
     dtype = np.int16 if n <= 14 else np.int32
@@ -120,19 +130,25 @@ def _pivotset_batches(n: int, pivots: tuple[int, ...]):
     step = max(1, _BATCH_ELEMS >> p)
     for start in range(0, total, step):
         index = np.arange(start, min(start + step, total))
-        # filled as the transpose, so that each column is one contiguous row
-        columns = np.zeros((1 << p, len(index)), dtype=dtype)
+        rows = np.empty((len(index), p), dtype=dtype)
         stride = total
         for j, vals in enumerate(value_lists):
             # basis row j is digit j of the product index, the first digit moving slowest
             stride //= len(vals)
-            np.bitwise_xor(columns[: 1 << j], vals[index // stride % len(vals)], out=columns[1 << j : 2 << j])
-        yield columns.T
+            rows[:, j] = vals[index // stride % len(vals)]
+        elements = _span_rows(rows)
+        del rows, index  # not held while the caller keys the batch
+        yield elements
 
 
 def _sorted_row_keys(table, rows):
     """The sorted leak codes of each subgroup's elements."""
     return np.sort(table[rows], axis=1)
+
+
+def _first_of_keys(keys):
+    """The distinct keys, int64 scalars or rows, and the index of each one's first occurrence."""
+    return np.unique(keys, axis=0 if keys.ndim > 1 else None, return_index=True)
 
 
 def _enumerator_keys(lut, rows):
@@ -217,7 +233,6 @@ def leak_census(
         raise ValueError(f"rank {rank} outside [0, {n}]")
     uniform = iota is None or iota.is_uniform
     if uniform:
-        # code c is the flip count c, whose scaled leak is n - 2c
         values = n - 2 * np.arange(n + 1)
         table = np.bitwise_count(np.arange(1 << n)).astype(np.int8)
         enumerated = sorted({min(p, n - p) for p in ranks})
@@ -231,50 +246,35 @@ def leak_census(
         table = table.astype(np.min_scalar_type(len(values) - 1))
         enumerated = ranks
 
-    classes: dict[int, tuple[int, list]] = {}  # rank -> (subgroups, first basis of each class)
+    classes: dict[int, np.ndarray] = {}  # rank -> the first basis of each class
     for p in enumerated:
         if (radix := (1 << p) + 1) ** len(values) <= 1 << 63:
             key_fn = partial(_enumerator_keys, radix ** table.astype(np.int64))
         else:
             key_fn = partial(_sorted_row_keys, table)
-        # equal keys mean equal leak multisets; the first subgroup with a key represents its class
-        total = 0
-        found: dict[bytes, tuple[int, ...]] = {}
-        basis_columns = [1 << j for j in range(p)]
+        # equal keys mean equal leak multisets; over the batches in order, a key's first row is its first subgroup
+        keys, bases = [], []
         for pivots in combinations(range(n), p):
             for elements in _pivotset_batches(n, pivots):
-                total += len(elements)
-                keys = key_fn(elements)
-                keys, first = np.unique(keys, axis=0 if keys.ndim > 1 else None, return_index=True)
-                # one gather for all first rows; one per new key is slower where a batch has many classes
-                for key_row, basis in zip(keys, elements[first][:, basis_columns].tolist()):
-                    key = key_row.tobytes()
-                    if key not in found:
-                        found[key] = tuple(basis)
-        classes[p] = (total, list(found.values()))
+                batch_keys, first = _first_of_keys(key_fn(elements))
+                keys.append(batch_keys)
+                bases.append(elements[first][:, [1 << j for j in range(p)]])
+        classes[p] = np.concatenate(bases)[_first_of_keys(np.concatenate(keys))[1]]
 
-    subgroup_counts: dict[int, int] = {}
-    distinct_counts: dict[int, int] = {}
-    representatives: list[dict] = []
+    distinct_counts, representatives = {}, []
     for p in ranks:
         dual = p not in classes
-        total, bases = classes[n - p if dual else p]
-        subgroup_counts[p] = gaussian_binomial(n, p) if dual else total
+        bases = classes[n - p if dual else p]
         distinct_counts[p] = len(bases)
         if with_representatives:
-            bases = [_dual_basis(n, b) for b in bases] if dual else bases
-            keys = [sorted(table[_enumerate_span(b)].tolist()) for b in bases]
-            for codes, basis in sorted(zip(keys, bases)):
-                scaled = values[codes].tolist() if p else [n]
-                representatives.append({"rank": p, "scaled_distribution": scaled, "basis_masks": list(basis)})
+            bases = np.array([_dual_basis(n, b) for b in bases.tolist()]) if dual else bases
+            codes = np.sort(table[_span_rows(bases)], axis=1)
+            # classes have distinct code rows, so the rows alone order them
+            order = np.lexsort(codes.T[::-1])
+            scaled, masks = (values[codes[order]].tolist() if p else [[n]]), bases[order].tolist()
+            representatives += [{"rank": p, "scaled_distribution": s, "basis_masks": b} for s, b in zip(scaled, masks)]
 
-    return LeakCensusReport(
-        n=n,
-        uniform_iota=uniform,
-        subgroup_counts=subgroup_counts,
-        distinct_counts=distinct_counts,
-        representatives=representatives if with_representatives else [],
-    )
+    return LeakCensusReport(n, uniform, {p: gaussian_binomial(n, p) for p in ranks}, distinct_counts, representatives)
 
 
 def _partitions(n: int, largest: int | None = None) -> Iterator[tuple[int, ...]]:

@@ -14,6 +14,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from collections import Counter
@@ -34,13 +35,10 @@ EXIT_IO = 4
 
 
 def _emit(report: dict, out: str | None) -> None:
-    report = {"schema_version": SCHEMA_VERSION, **report}
-    text = json.dumps(report, indent=2, sort_keys=True)
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    # streamed, so that no copy of a large report's text is ever whole
+    with open(out, "w", encoding="utf-8") if out else contextlib.nullcontext(sys.stdout) as fh:
+        json.dump({"schema_version": SCHEMA_VERSION, **report}, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def _load_iota(args, n: int) -> Direction:

@@ -32,9 +32,10 @@ from .flipcore import (
     words_to_masks,
 )
 from .leak import Direction, MatrixRepresentation, matrix_representation
+from .testkit import _TEMP_BYTES
 
 
-#: candidates scored per numpy batch
+#: candidates scored per numpy batch, at most; fewer where their temporary would pass _TEMP_BYTES
 _CHUNK = 1 << 13
 
 
@@ -135,13 +136,14 @@ def greedy_near_oracle(
 
         candidates = distinct_masks(rng, n, 1, min(candidate_budget, (1 << n) - s.order), e_words)[0]
         scores = np.empty(len(candidates), dtype=np.int64)
-        for lo in range(0, len(candidates), _CHUNK):
-            r = candidates[lo : lo + _CHUNK, None, :]
+        chunk = max(1, min(_CHUNK, _TEMP_BYTES // e_words.nbytes))  # r ^ e_words takes e_words.nbytes a row
+        for lo in range(0, len(candidates), chunk):
+            r = candidates[lo : lo + chunk, None, :]
             flips = np.bitwise_count(r ^ e_words).sum(axis=2, dtype=np.int64)
             hi = np.maximum(n - 2 * flips.min(axis=1), cur_max)
             if objective == "delta_abs":
                 hi = np.maximum(hi, np.maximum(2 * flips.max(axis=1) - n, -cur_min))
-            scores[lo : lo + _CHUNK] = hi
+            scores[lo : lo + chunk] = hi
         leaders = coset_minima(candidates[scores == scores.min()], elems)
         del candidates, scores, r  # r views candidates; free both before the next round draws
         s = extend(s, SignFlipElement(n, words_to_masks(leaders[np.lexsort(leaders.T)[:1]])[0]))

@@ -134,6 +134,8 @@ def statistic(x, iota: Direction, side: str = "one") -> float:
 
 #: rows per Monte Carlo draw; fixes the draw order of seeded batches
 _CHUNK = 4096
+#: bytes of one temporary that grows as rows x n x M (MC sign-flip signs here, greedy scores in construct)
+_TEMP_BYTES = 1 << 24
 #: tie tolerance tau = _TIE_EPS * n * ||x||_2 (see the module docstring)
 _TIE_EPS = 2.0 * np.finfo(float).eps
 
@@ -190,8 +192,9 @@ def exceed_counts(
     N(0, sigma^2) against X @ iota, with tau = 0). Row r's count is the
     number of transformations, the identity included, whose statistic
     reaches row r's observed one. Monte Carlo draws come from ``rng`` in
-    chunks of 4096 rows. The observed statistics are returned as absolute
-    values when ``side`` is "two".
+    chunks of 4096 rows, and a chunk's sign-flip signs are unpacked in
+    row slices of at most _TEMP_BYTES. The observed statistics are
+    returned as absolute values when ``side`` is "two".
     """
     X = np.asarray(X, dtype=float)
     if X.ndim == 1:
@@ -213,10 +216,15 @@ def exceed_counts(
                     words = random_masks(rng, n, (c, M - 1))
                 else:
                     words = distinct_masks(rng, n, c, M - 1, masks_to_words([0], n))
-                signs = masks_to_bits(words, n).view(np.int8)
-                signs *= -2
-                signs += 1  # (-1)^bit, in place
-                stats = _signflip_stats(signs, xc, iota)
+                parts = []
+                step = max(1, _TEMP_BYTES // max(1, (M - 1) * n))  # rows of int8 signs under the budget
+                for s in range(0, c, step):
+                    signs = masks_to_bits(words[s : s + step], n).view(np.int8)
+                    signs *= -2
+                    signs += 1  # (-1)^bit, in place
+                    parts.append(_signflip_stats(signs, xc[s : s + step], iota))
+                    del signs  # freed before the next slice unpacks
+                stats = parts[0] if len(parts) == 1 else np.concatenate(parts)
             elif family == "mc-orthogonal":
                 if n > 1:  # (1 + u) / 2 ~ Beta((n-1)/2, (n-1)/2), which has no n = 1 case
                     u = 2.0 * rng.beta((n - 1) / 2, (n - 1) / 2, (c, M - 1)) - 1.0

@@ -1,12 +1,14 @@
 """End-to-end command-line interface tests."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from nos import simlab
-from nos.cli import EXIT_INFEASIBLE, EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
+from nos.census import leak_census
+from nos.cli import EXIT_INFEASIBLE, EXIT_IO, EXIT_OK, EXIT_VALIDATION, _emit, main
 from nos.io import read_subgroup
 
 
@@ -156,6 +158,29 @@ def test_census_command(tmp_path, capsys):
     payload = json.loads(out.read_text(encoding="utf-8"))
     assert payload["subgroup_counts"]["2"] == 35
     assert payload["distinct_counts"]["2"] == 6
+
+
+def test_census_report_bytes_are_the_json_text(tmp_path, capsys):
+    expected = json.dumps({"schema_version": 1, **leak_census(4).to_dict()}, indent=2, sort_keys=True) + "\n"
+    out = tmp_path / "census.json"
+    code, stdout, _ = _run(capsys, "census", "--n", "4")
+    assert code == EXIT_OK and stdout == expected
+    assert _run(capsys, "census", "--n", "4", "--out", str(out))[0] == EXIT_OK
+    assert out.read_bytes() == expected.encode("utf-8")
+
+
+def test_emit_streams_the_report(tmp_path):
+    # building the whole text first holds at least its own size
+    report = {"rows": [[i + 0.25, -i, i * 1e-3] for i in range(10_000)]}
+    size = len(json.dumps({"schema_version": 1, **report}, indent=2, sort_keys=True))
+    tracemalloc.start()
+    try:
+        _emit(report, str(tmp_path / "big.json"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (tmp_path / "big.json").stat().st_size == size + 1
+    assert peak < size / 4, (peak, size)
 
 
 def test_census_guard(capsys):

@@ -217,6 +217,31 @@ def test_greedy_frees_each_round_before_the_next_draw():
     assert peak <= 4.1 * 2**20
 
 
+def test_greedy_scoring_chunks_are_bounded_by_bytes():
+    # the last round scores 8 192 candidates against 256 four-word masks: one 8 192-row chunk's
+    # r ^ e_words is 64 MiB, and the run peaked at 80.4 MiB when chunks were bounded by rows alone
+    greedy_near_oracle(24, 32, seed=1)
+    tracemalloc.start()
+    try:
+        greedy_near_oracle(200, 512, candidate_budget=8192, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 36 * 2**20, peak / 2**20
+
+
+def test_greedy_scores_do_not_depend_on_the_chunk(monkeypatch):
+    from nos import construct
+
+    def bases():
+        shapes = ((24, 32, 7), (70, 128, 2))
+        return [greedy_near_oracle(n, order, candidate_budget=5000, seed=seed).basis for n, order, seed in shapes]
+
+    default = bases()
+    monkeypatch.setattr(construct, "_TEMP_BYTES", 20_000)  # 19 to 625 candidates per chunk
+    assert bases() == default
+
+
 def test_greedy_validation():
     with pytest.raises(InfeasibleOrderError):
         greedy_near_oracle(4, 3)

@@ -194,6 +194,19 @@ def test_power_table_memory_is_one_block_at_n_256():
     assert peak < 32 * 2**20, peak / 2**20
 
 
+def test_mc_signflip_size_audit_memory_is_bounded_by_bytes():
+    # a 4 096-row block at n = 256, M = 64 unpacks 66 MB of int8 signs in one piece when
+    # only rows bound it (97.1 MiB peak); the byte budget unpacks them in 16 MiB slices
+    size_audit("mc-signflip", 16, 1 / 16, 100, M=16, seed=1)
+    tracemalloc.start()
+    try:
+        size_audit("mc-signflip", 256, 1 / 16, 4096, M=64, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 56 * 2**20, peak / 2**20
+
+
 def test_power_curve_shape_and_endpoints():
     rep = _oracle_rep(8)
     rows = power_curve(8, 8, rep, [0.0, 2.0], 4000, seed=3)
@@ -223,6 +236,32 @@ def test_pvalue_variability_subgroup_figure_ignores_the_mc_stream(monkeypatch):
     moved = pvalue_variability(16, 0.5, 16, 20, 100, seed=4, rep_subgroup=rep)
     assert moved["avg_var_subgroup_permuted"] == base["avg_var_subgroup_permuted"]
     assert moved["avg_var_mc"] != base["avg_var_mc"]
+
+
+def test_pvalue_variability_blocks_draw_what_one_whole_set_call_draws():
+    # 9 000 resamples of one dataset, three blocks, replayed by one call per family on the whole tiled set
+    n, M, resamples, seed = 16, 16, 9000, 12
+    rep = _oracle_rep(n)
+    out = pvalue_variability(n, 0.5, M, 1, resamples, seed=seed, rep_subgroup=rep)
+    tiled = np.tile(0.5 + _cell_rng(seed).standard_normal(n), (resamples, 1))
+    sub = exceed_counts("subgroup", _cell_rng(seed, 1).permuted(tiled, axis=1), rep=rep)[0]
+    flips = exceed_counts("mc-signflip", tiled, iota=Direction.uniform(n).coords, M=M, replacement="with",
+                          rng=_cell_rng(seed, 0))[0]
+    assert out["avg_var_subgroup_permuted"] == float(np.var(sub / M))
+    assert out["avg_var_mc"] == float(np.var(flips / M))
+
+
+def test_pvalue_variability_memory_does_not_grow_with_resamples():
+    # 50 000 resamples at n = M = 32 peaked at 40.1 MiB as one tiled set, and at 9.0 MiB at 4 096
+    rep = _oracle_rep(32)
+    pvalue_variability(32, 0.5, 32, 1, 100, seed=4, rep_subgroup=rep)
+    tracemalloc.start()
+    try:
+        pvalue_variability(32, 0.5, 32, 1, 50_000, seed=4, rep_subgroup=rep)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2**20, peak / 2**20
 
 
 def test_conjecture_probe_reports_differences():

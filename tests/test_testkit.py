@@ -161,6 +161,22 @@ def test_mc_signflip_statistic_matches_the_float_sign_cube(uniform):
     assert np.all(np.abs(got - reference) <= tie_tolerance(X)[:, None])
 
 
+@pytest.mark.parametrize("replacement", ["with", "without"])
+def test_mc_signflip_sign_slices_change_no_count(monkeypatch, replacement):
+    # a 700-byte budget unpacks 2 rows of 15 x 20 signs at a time, so 4 100 rows take two chunks of slices
+    rng = np.random.default_rng(8)
+    X, iota = rng.standard_normal((4100, 20)), Direction.uniform(20).coords
+
+    def run():
+        return testkit.exceed_counts("mc-signflip", X, iota=iota, M=16, replacement=replacement,
+                                     rng=np.random.default_rng(3))
+
+    whole = run()
+    monkeypatch.setattr(testkit, "_TEMP_BYTES", 700)
+    sliced = run()
+    assert np.array_equal(sliced[0], whole[0]) and np.array_equal(sliced[1], whole[1])
+
+
 @pytest.mark.parametrize("n", range(1, 7))
 @pytest.mark.parametrize("uniform", [True, False])
 def test_mc_signflip_over_every_pattern_counts_like_the_full_group(n, uniform):
