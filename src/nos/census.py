@@ -18,12 +18,13 @@ leak multiset is the weight distribution, MacWilliams duality derives
 ranks above n // 2 from those below.
 
 The heavy path is one serial loop over pivot sets, vectorized with numpy
-over batches of at most _BATCH_ELEMS group elements. One XOR doubling,
-``_span_rows``, expands basis rows into elements, for the batches and for
-the representatives, whose classes are merged, coded and ordered in array
-passes. Along a random direction at n = 8 each of the 417 199 subgroups
-is its own class: ``leak_census`` takes 2.4-3.0 s, and one-shot ``nos
-census --n 8 --iota`` 12-15 s at 520 MiB peak RSS (2 vCPU), mostly writing JSON.
+over batches of at most _BATCH_ELEMS group elements. The one XOR
+doubling, ``flipcore._span_rows``, expands int16 or int32 basis rows into
+elements, for the batches and for the representatives, whose classes are
+merged, coded and ordered in array passes. Along a random direction at
+n = 8 each of the 417 199 subgroups is its own class: ``leak_census``
+takes 2.4-3.0 s, and one-shot ``nos census --n 8 --iota`` 12-15 s at
+520 MiB peak RSS (2 vCPU), mostly writing JSON.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from typing import Iterator
 import numpy as np
 
 from .construct import two_adic_valuation
-from .flipcore import SignFlipSubgroup, _rref_basis, subgroup_from_basis_masks
+from .flipcore import SignFlipSubgroup, _rref_basis, _span_rows, subgroup_from_basis_masks
 from .leak import Direction, _leak_spectrum
 
 #: above this dimension enumeration will not finish at desk scale
@@ -104,15 +105,6 @@ def enumerate_subgroups(n: int, p: int, allow_large: bool = False) -> Iterator[S
         frees = _free_positions(n, pivots)
         for rows in product(*(_row_values(q, f) for q, f in zip(pivots, frees))):
             yield subgroup_from_basis_masks(n, list(rows))
-
-
-def _span_rows(rows):
-    """The (K, 2^p) elements spanned by (K, p) basis rows: column i is the XOR of the rows at the set bits of i."""
-    # filled as the transpose, so that each column is one contiguous row
-    columns = np.zeros((1 << rows.shape[1], len(rows)), dtype=rows.dtype)
-    for j in range(rows.shape[1]):
-        np.bitwise_xor(columns[: 1 << j], rows[:, j], out=columns[1 << j : 2 << j])
-    return columns.T
 
 
 def _pivotset_batches(n: int, pivots: tuple[int, ...]):

@@ -73,14 +73,14 @@ def oracle_signflip(n: int, k: int) -> SignFlipSubgroup:
     return subgroup_from_basis_masks(n, [_walsh_mask(n, j) for j in range(1, k + 1)])
 
 
-def coset_minima(words: np.ndarray, elements: list[int]) -> np.ndarray:
+def coset_minima(words: np.ndarray, rows: tuple[int, ...]) -> np.ndarray:
     """Reduce each mask r of a (count, words) array, in place, to the smallest mask of r S; returns the array.
 
-    ``elements`` is S's canonical element list. Its elements 1, 2, 4, ... have distinct
-    highest bits; each, highest first, is XOR-ed into the masks that hold its highest bit.
+    ``rows`` is S's ``canonical_rows``, whose highest bits are distinct; each, highest first, is
+    XOR-ed into the masks that hold its highest bit.
     """
-    for i in reversed(range(len(elements).bit_length() - 1)):
-        b, top = elements[1 << i], elements[1 << i].bit_length() - 1
+    for b in reversed(rows):
+        top = b.bit_length() - 1
         words[words[:, top >> 6] >> (top & 63) & 1 == 1] ^= masks_to_words([b], 64 * words.shape[1])
     return words
 
@@ -144,7 +144,7 @@ def greedy_near_oracle(
             if objective == "delta_abs":
                 hi = np.maximum(hi, np.maximum(2 * flips.max(axis=1) - n, -cur_min))
             scores[lo : lo + chunk] = hi
-        leaders = coset_minima(candidates[scores == scores.min()], elems)
+        leaders = coset_minima(candidates[scores == scores.min()], s.canonical_rows)
         del candidates, scores, r  # r views candidates; free both before the next round draws
         s = extend(s, SignFlipElement(n, words_to_masks(leaders[np.lexsort(leaders.T)[:1]])[0]))
     return s
@@ -200,19 +200,18 @@ def two_sample_oracle(m1: int, m2: int, base: SignFlipSubgroup | None = None) ->
         base = oracle_signflip(n, two_adic_valuation(n))
     if base.n != n:
         raise ValueError(f"base subgroup has n={base.n}, expected {n}")
-    for e in base.elements[1:]:
-        if 2 * e.flip_count() != n:
-            raise ValueError("base must be a zero-leak subgroup for the uniform direction")
+    if any(2 * e.bit_count() != n for e in base.element_masks()[1:]):
+        raise ValueError("base must be a zero-leak subgroup for the uniform direction")
 
     r_star = ((1 << n) - 1) ^ ((1 << m1) - 1)  # negate the second sample
     star = SignFlipElement(n, r_star)
     if star not in base:
         raise ValueError("base contains no element matching the two-sample split")
 
-    # an element's coefficient on the reduced echelon row with pivot q is its bit q, so the base
-    # elements with bit q clear, q the lowest pivot r_star sets, are a maximal subgroup avoiding r_star
+    # only the reduced echelon row with pivot q has bit q, so the other rows span the base elements with
+    # bit q clear, q the lowest pivot r_star sets: a maximal subgroup avoiding r_star
     q = min(low for b in base.basis if r_star & (low := b.mask & -b.mask)).bit_length() - 1
-    sub = subgroup_from_basis_masks(n, [e for e in base.element_masks() if not e >> q & 1])
+    sub = subgroup_from_basis_masks(n, [b.mask for b in base.basis if not b.mask >> q & 1])
     if sub.order == 1:
         warnings.warn(
             "only the trivial subgroup avoids the two-sample split element; "

@@ -4,9 +4,11 @@ A sign-flipping transformation of R^n is a diagonal matrix with entries in
 {-1, +1}. We store it as an n-bit mask (bit i set <=> coordinate i is
 negated), so composition is bitwise XOR and every element is its own
 inverse. Subgroups are exactly the GF(2)-linear subspaces of the mask
-space; they are kept in a canonical form (reduced echelon basis, elements
-sorted by mask value with the identity first) so that equality of
-subgroups is equality of element lists.
+space. A subgroup is stored as its reduced echelon basis, which is unique
+per subspace, so equality of subgroups is equality of bases; its elements,
+sorted by mask value with the identity first, are derived from the basis
+by the one XOR doubling, ``_span_rows``, which also expands the census's
+batches of basis rows.
 
 Masks are plain Python integers, which covers any n. Code that handles
 many masks at once holds them as arrays of ceil(n / 64) little-endian
@@ -18,14 +20,15 @@ a 1-D sortable key for sorting and deduplication. Random masks are drawn
 in the word form by the one sampler, ``random_masks`` (with replacement)
 and ``distinct_masks`` (without replacement, outside a set of masks).
 A subgroup of order 2^k also has a k-bit signature per coordinate i (bit b
-set iff element 2^b flips i); element j flips i iff popcount(j & sig_i) is
-odd. The one transform, ``_walsh_hadamard``, gives sum_i (-1)^popcount(j & sig_i) w_i
+set iff element 2^b flips i), read from its k canonical rows; element j
+flips i iff popcount(j & sig_i) is odd. The one transform, ``_walsh_hadamard``, gives sum_i (-1)^popcount(j & sig_i) w_i
 for every j at once; representations, leaks and test statistics use it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -218,8 +221,8 @@ def distinct_masks(rng: np.random.Generator, n: int, rows: int, draws: int, excl
     return words[:, head:]
 
 
-def _rref_basis(masks: Iterable[int]) -> list[int]:
-    """Reduced echelon basis of the span of ``masks``, pivot = lowest set bit.
+def _rref_basis(masks: Iterable[int], highest: bool = False) -> list[int]:
+    """Reduced echelon basis of the span of ``masks``, pivot = lowest set bit (highest with ``highest``).
 
     Each basis vector's pivot bit is cleared from every other basis vector,
     so the basis is unique per subspace. Returned sorted by pivot.
@@ -234,7 +237,7 @@ def _rref_basis(masks: Iterable[int]) -> list[int]:
                 v ^= b
         if v == 0:
             continue
-        p = (v & -v).bit_length() - 1
+        p = v.bit_length() - 1 if highest else (v & -v).bit_length() - 1
         # clear bit p from existing vectors to keep the basis reduced
         for q, b in basis.items():
             if (b >> p) & 1:
@@ -253,26 +256,40 @@ def _walsh_hadamard(b: np.ndarray) -> np.ndarray:
     return b
 
 
-def _enumerate_span(basis_masks: Sequence[int]) -> list[int]:
-    """All XOR combinations of the basis; element i is the XOR of the rows at the set bits of i."""
-    elems = [0]
-    for b in basis_masks:
-        elems += [e ^ b for e in elems]
-    return elems
+def _span_rows(rows: np.ndarray) -> np.ndarray:
+    """The (K, 2^p) elements spanned by (K, p) basis rows: column i is the XOR of the rows at the set bits of i.
+
+    Integer rows give fixed-width masks; ``dtype=object`` rows hold Python-int masks of any n.
+    """
+    # filled as the transpose, so that each column is one contiguous row
+    columns = np.zeros((1 << rows.shape[1], len(rows)), dtype=rows.dtype)
+    for j in range(rows.shape[1]):
+        np.bitwise_xor(columns[: 1 << j], rows[:, j], out=columns[1 << j : 2 << j])
+    return columns.T
 
 
 @dataclass(frozen=True)
 class SignFlipSubgroup:
     """A subgroup of the sign-flipping group: a GF(2)-linear subspace of masks.
 
-    ``basis`` is the reduced echelon basis; ``elements`` lists all 2^rank
-    members with the identity first and masks in ascending order. Two
-    subgroups are equal iff their element tuples are equal.
+    Stored as its reduced echelon ``basis``, unique per subspace, so two
+    subgroups are equal iff their n and bases are; the rest is derived when
+    first read. The canonical rows, the echelon basis by highest bit, have
+    distinct highest bits cleared from each other, so the XOR of the rows at
+    the set bits of j grows with j: their span in index order is the
+    ascending element list, and element j flips coordinate i iff
+    popcount(j & signatures[i]) is odd.
     """
 
     n: int
     basis: tuple[SignFlipElement, ...]
-    elements: tuple[SignFlipElement, ...]
+
+    def __post_init__(self):
+        if self.n < 1 or any(b.n != self.n for b in self.basis):
+            raise DimensionMismatchError(f"need n >= 1 and basis elements of that n, got n={self.n}")
+        masks = [b.mask for b in self.basis]
+        if _rref_basis(masks) != masks:
+            raise ValueError("basis must be the reduced echelon basis of its span, sorted by pivot")
 
     @property
     def rank(self) -> int:
@@ -280,20 +297,34 @@ class SignFlipSubgroup:
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return 1 << self.rank
+
+    @cached_property
+    def canonical_rows(self) -> tuple[int, ...]:
+        """Elements 1, 2, 4, ... of the ascending element list: the highest-pivot reduced echelon basis."""
+        return tuple(_rref_basis((b.mask for b in self.basis), highest=True))
+
+    @cached_property
+    def signatures(self) -> np.ndarray:
+        """Read-only (n,) ints: bit b of entry i is set iff canonical row b flips coordinate i."""
+        sig = masks_to_bits(self.canonical_rows, self.n).T @ (1 << np.arange(self.rank))
+        sig.flags.writeable = False
+        return sig
+
+    @cached_property
+    def elements(self) -> tuple[SignFlipElement, ...]:
+        """All 2^rank members, the identity first and masks in ascending order."""
+        return tuple(SignFlipElement(self.n, m) for m in self.element_masks())
 
     def __contains__(self, r: SignFlipElement) -> bool:
-        if r.n != self.n:
-            return False
         v = r.mask
-        for b in self.basis:
-            low = b.mask & -b.mask
-            if v & low:
-                v ^= b.mask
-        return v == 0
+        for b in reversed(self.canonical_rows):
+            v = min(v, v ^ b)  # clears b's highest bit, which no later row holds
+        return r.n == self.n and v == 0
 
     def element_masks(self) -> list[int]:
-        return [e.mask for e in self.elements]
+        """The masks of ``elements``, as a new list: the span of the canonical rows."""
+        return _span_rows(np.array([self.canonical_rows], dtype=object))[0].tolist()
 
 
 def span(generators: Sequence[SignFlipElement], n: int | None = None) -> SignFlipSubgroup:
@@ -301,23 +332,15 @@ def span(generators: Sequence[SignFlipElement], n: int | None = None) -> SignFli
 
     ``n`` is required when ``generators`` is empty (the trivial subgroup).
     """
-    if not generators:
-        if n is None:
-            raise ValueError("empty generator list requires an explicit n")
-        return SignFlipSubgroup(n, (), (identity(n),))
+    if not generators and n is None:
+        raise ValueError("empty generator list requires an explicit n")
     dims = {g.n for g in generators}
     if len(dims) > 1:
         raise DimensionMismatchError(f"generators mix dimensions {sorted(dims)}")
-    dim = dims.pop()
+    dim = dims.pop() if dims else n
     if n is not None and n != dim:
         raise DimensionMismatchError(f"generators have n={dim}, expected {n}")
-    basis_masks = _rref_basis(g.mask for g in generators)
-    elems = sorted(_enumerate_span(basis_masks))
-    return SignFlipSubgroup(
-        dim,
-        tuple(SignFlipElement(dim, b) for b in basis_masks),
-        tuple(SignFlipElement(dim, e) for e in elems),
-    )
+    return SignFlipSubgroup(dim, tuple(SignFlipElement(dim, b) for b in _rref_basis(g.mask for g in generators)))
 
 
 def subgroup_from_basis_masks(n: int, basis_masks: Sequence[int]) -> SignFlipSubgroup:
@@ -333,8 +356,6 @@ def extend(s: SignFlipSubgroup, r: SignFlipElement) -> SignFlipSubgroup:
     """
     if r.n != s.n:
         raise DimensionMismatchError(f"element n={r.n} does not match subgroup n={s.n}")
-    if r in s:
-        return s
     return span(list(s.basis) + [r], n=s.n)
 
 
@@ -353,5 +374,5 @@ def is_subgroup(elements: Sequence[SignFlipElement]) -> bool:
 def full_group(n: int) -> SignFlipSubgroup:
     """The entire sign-flipping group (order 2^n); intended for small n."""
     if n > 20:
-        raise ValueError(f"refusing to enumerate 2^{n} elements")
+        raise ValueError(f"refusing the full group at n={n} > 20: its leak summary and representation hold 2^n bins")
     return subgroup_from_basis_masks(n, [1 << i for i in range(n)])

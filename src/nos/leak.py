@@ -4,10 +4,10 @@ For a subgroup (or subset) S of orthonormal matrices and a unit vector
 iota, the "leak" of an element is iota'S iota; the subgroup-level
 quantities delta (max over non-identity elements) and delta_abs (max
 absolute value) govern the consistency threshold of the associated
-invariance test. Element j of a canonical subgroup flips coordinate i
-iff popcount(j & sig_i) is odd, so its leak is entry j of the
-Walsh-Hadamard transform of iota's squares binned by signature. The
-transform runs on exact integers, so on every direction each leak is
+invariance test. Element j of a subgroup, in ascending mask order,
+flips coordinate i iff popcount(j & sig_i) is odd, so its leak is entry
+j of the Walsh-Hadamard transform of iota's squares binned by signature.
+The transform runs on exact integers, so on every direction each leak is
 the exact sum rounded once: (n - 2k)/n for k flips on the uniform one.
 """
 
@@ -23,7 +23,6 @@ from .flipcore import (
     DimensionMismatchError,
     SignFlipElement,
     SignFlipSubgroup,
-    _enumerate_span,
     _walsh_hadamard,
     extend,
     masks_to_bits,
@@ -157,15 +156,6 @@ def leak_value(s: SignFlipElement, iota: Direction) -> float:
     return w[1] / q
 
 
-def _signatures(s: SignFlipSubgroup) -> np.ndarray:
-    """Bit b of entry i is set iff element 1 << b flips coordinate i; needs the canonical element order."""
-    masks = s.element_masks()
-    rows = [masks[1 << b] for b in range(s.order.bit_length() - 1)]
-    if _enumerate_span(rows) != masks:
-        raise ValueError("element j must be the XOR of elements 1, 2, 4, ... at the set bits of j")
-    return masks_to_bits(rows, s.n).T @ (1 << np.arange(len(rows)))
-
-
 def _leak_spectrum(signatures: np.ndarray, M: int, iota: Direction) -> tuple[list[int], int]:
     """Ints W, q with W[j] / q element j's leak: W transforms the weights q iota_i^2 binned by signature.
 
@@ -185,10 +175,10 @@ def _leak_spectrum(signatures: np.ndarray, M: int, iota: Direction) -> tuple[lis
 def leak_summary(s: SignFlipSubgroup | MatrixRepresentation, iota: Direction | None = None) -> LeakSummary:
     """Full leak distribution, delta and delta_abs of a subgroup.
 
-    Accepts either the GF(2) subgroup in canonical order (with a direction,
-    default uniform) or an existing matrix representation (whose direction
-    is its first column). A representation with signatures gives the
-    subgroup's summary; a hand-built one sums iota' S iota over its columns.
+    Accepts either the GF(2) subgroup (with a direction, default uniform)
+    or an existing matrix representation (whose direction is its first
+    column). A representation with signatures gives the subgroup's
+    summary; a hand-built one sums iota' S iota over its columns.
     """
     if isinstance(s, MatrixRepresentation):
         if s.M < 2:
@@ -204,7 +194,7 @@ def leak_summary(s: SignFlipSubgroup | MatrixRepresentation, iota: Direction | N
             raise DimensionMismatchError(f"subgroup n={s.n} != direction n={iota.n}")
         if s.order < 2:
             raise TrivialSubgroupError("leak is undefined for the trivial subgroup")
-        signatures, M = _signatures(s), s.order
+        signatures, M = s.signatures, s.order
     w, q = _leak_spectrum(signatures, M, iota)
     dist = tuple(v / q for v in w)
     # the uniform direction's spectrum is its scaled leaks themselves, exact ints (q = n)
@@ -217,26 +207,23 @@ def _summary(dist: tuple, scaled: tuple) -> LeakSummary:
 
 
 def matrix_representation(s: SignFlipSubgroup, iota: Direction | None = None) -> MatrixRepresentation:
-    """Columns S iota in canonical element order; column 0 equals iota.
+    """Columns S iota in ascending element order; column 0 equals iota.
 
-    Requires the canonical element order that ``span`` gives, and distinct
-    columns, guaranteed when delta < 1 or iota has no zero coordinate.
-    The representation holds iota and the signatures, and writes its
-    columns when they are first read.
+    Requires distinct columns, guaranteed when delta < 1 or iota has no
+    zero coordinate. The representation holds iota and the subgroup's
+    signatures, and writes its columns when they are first read.
     """
     if iota is None:
         iota = Direction.uniform(s.n)
     if s.n != iota.n:
         raise DimensionMismatchError(f"subgroup n={s.n} != direction n={iota.n}")
-    M, signatures = s.order, _signatures(s)
-    signatures.flags.writeable = False
     # columns j and k collide iff element j ^ k flips only zero coordinates of iota,
     # i.e. iff its Walsh coefficient over the nonzero ones equals the identity's
-    w = _walsh_hadamard(np.bincount(signatures[iota.coords != 0], minlength=M))
+    w = _walsh_hadamard(np.bincount(s.signatures[iota.coords != 0], minlength=s.order))
     if np.any(w[1:] == w[0]):
         raise ValueError("duplicate columns: need delta < 1 or an iota without zero coordinates")
     rep = object.__new__(MatrixRepresentation)  # no columns yet: __getattr__ writes them when read
-    rep.__dict__.update(n=s.n, M=M, iota=iota.coords, signatures=signatures)
+    rep.__dict__.update(n=s.n, M=s.order, iota=iota.coords, signatures=s.signatures)
     return rep
 
 

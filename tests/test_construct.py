@@ -174,7 +174,7 @@ def test_coset_minima_match_brute_force(n):
         elems = s.element_masks()
         words = np.concatenate([random_masks(rng, n, (200,)), masks_to_words(elems, n)])
         expected = [min(r ^ e for e in elems) for r in words_to_masks(words)]
-        got = coset_minima(words.copy(), elems)
+        got = coset_minima(words.copy(), s.canonical_rows)
         assert words_to_masks(got) == expected, (n, s.rank)
         assert words_to_masks(got[200:]) == [0] * s.order
 

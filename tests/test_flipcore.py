@@ -11,7 +11,9 @@ from nos.construct import greedy_near_oracle
 from nos.flipcore import (
     DimensionMismatchError,
     SignFlipElement,
+    SignFlipSubgroup,
     _repeats,
+    _rref_basis,
     bits_to_masks,
     bits_to_words,
     compose,
@@ -91,6 +93,32 @@ def test_canonical_basis_is_representation_independent():
     assert a == b
 
 
+def test_subgroups_are_equal_and_hash_equal_iff_they_share_n_and_span():
+    a = subgroup_from_basis_masks(6, [0b000111, 0b111000, 0b101010])
+    b = subgroup_from_basis_masks(6, [0b111111, 0b010010 ^ 0b000111, 0b000111, 0b111000])  # other generators, one span
+    assert a.basis == b.basis and a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1
+    assert a != subgroup_from_basis_masks(6, [0b000111, 0b111000])  # a smaller span
+    assert a != subgroup_from_basis_masks(6, [0b000111, 0b111000, 0b101011])  # as large, another span
+    assert a != subgroup_from_basis_masks(7, [0b000111, 0b111000, 0b101010])  # the same masks in another n
+    assert subgroup_from_basis_masks(3, []) != subgroup_from_basis_masks(4, [])
+
+
+def test_subgroup_refuses_a_basis_that_is_not_its_own_reduced_echelon_basis():
+    reduced = [SignFlipElement(4, m) for m in (0b0101, 0b0110)]  # pivots 0 and 1, each clear in the other row
+    assert SignFlipSubgroup(4, tuple(reduced)) == subgroup_from_basis_masks(4, [0b0011, 0b0110])
+    for basis in (
+        (SignFlipElement(4, 0b0011), SignFlipElement(4, 0b0110)),  # bit 1 is row 2's pivot and set in row 1
+        tuple(reversed(reduced)),  # not sorted by pivot
+        tuple(reduced) + (SignFlipElement(4, 0b0011),),  # dependent
+        (SignFlipElement(4, 0),),  # a zero row
+    ):
+        with pytest.raises(ValueError, match="^basis must be the reduced echelon basis of its span, sorted by pivot$"):
+            SignFlipSubgroup(4, basis)
+    with pytest.raises(DimensionMismatchError):
+        SignFlipSubgroup(5, tuple(reduced))
+
+
 def test_contains_and_extend():
     s = subgroup_from_basis_masks(4, [0b1111])
     assert SignFlipElement(4, 0b1111) in s
@@ -128,9 +156,17 @@ def test_full_group():
         full_group(21)
 
 
+def _enumerate_span(basis_masks):
+    """All XOR combinations of the basis; element i is the XOR of the rows at the set bits of i."""
+    elems = [0]
+    for b in basis_masks:
+        elems += [e ^ b for e in elems]
+    return elems
+
+
 @settings(max_examples=100)
 @given(
-    n=st.integers(min_value=1, max_value=10),
+    n=st.integers(min_value=1, max_value=130),
     data=st.data(),
 )
 def test_span_is_closed_and_canonical(n, data):
@@ -140,8 +176,10 @@ def test_span_is_closed_and_canonical(n, data):
     s = subgroup_from_basis_masks(n, gens)
     masks = s.element_masks()
     mask_set = set(masks)
+    assert masks == sorted(_enumerate_span(_rref_basis(gens)))
     assert masks[0] == 0
     assert masks == sorted(masks)
+    assert list(s.canonical_rows) == [masks[1 << b] for b in range(s.rank)]
     assert len(mask_set) == s.order == 1 << s.rank
     for a in masks:
         for b in masks:
