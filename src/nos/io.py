@@ -20,30 +20,17 @@ Writing streams blocks of about 1 MiB of rows as bytes, so its
 allocations stay near 1.4 MiB at any size. What it writes is canonical:
 the header with single spaces and one newline, then M rows of exactly 3n
 bytes, each token a sign and ``1`` followed by a space, or a newline at
-the end of the row. Reading tries that form first. The signs of rows 1,
-2, 4, ..., M/2 span a subgroup, which is written into a sink that
-compares each block with the next bytes of the text. If the header and
-the size fit and every byte matches, the parser would have built that
-same subgroup from the same rows, so it is returned unparsed. At
-n = M = 2048 (a 12 MB file) ``read_subgroup`` of a canonical file takes
-about 0.02 s on a 2-vCPU Xeon VM, and its allocations peak at 3.8 MiB:
-it holds a block of the file, a written block and the subgroup, never
-the file's bytes or an (M, n) array.
-
-Every other text goes to the parser with its messages: one that differs
-from the canonical text in any byte, is cut short or goes on, has other
-line breaks (CRLF, say), blank lines, other whitespace, ``1`` for ``+1``
-or leading zeros in the header, is not ASCII, or has M = 1. The parser
-works on the bytes of the text with a few C-level passes, so it makes no
-object per token. It runs them on one block of about 1 MiB of rows at a
-time, from a line break to just before a later one, and writes each
-block's bits into one (M, n) array; the first fault sends the whole text
-to one reporter, so messages do not depend on the blocks. An ASCII file
-is read as bytes and never copied to a str: at n = M = 2048 a CRLF file
-takes 0.07-0.1 s, and its allocations peak at about 1.6 times the
-file's size (the bytes, the bits and block-sized buffers). Text that is
-not ASCII is first normalised to single spaces and newlines, line by
-line, in Python.
+the end of the row. Texts, files and pipes (read whole) take one reader.
+It tries the canonical form first: the signs of rows 1, 2, 4, ..., M/2
+span a subgroup whose written blocks are compared with the next bytes of
+the text; if all match, the parser would build that subgroup, so it is
+returned unparsed. Any other text, and M = 1, is parsed from the stream
+in blocks of about 1 MiB of whole lines by a few C-level byte passes,
+with no object per token, into the M row masks. At n = M = 2048 (12 MB,
+2-vCPU Xeon VM) a canonical file reads in about 0.02 s with allocations
+peaking at 3.8 MiB, a CRLF copy in 0.07 s at 4.6 MiB. Only a fault or a
+non-ASCII byte makes the reader hold the whole text: to name the first
+fault, whatever the blocks, or to decode and normalise the text.
 
 Data and direction files are plain UTF-8 text with one decimal number
 per line; a direction with a non-finite value is rejected, and one that
@@ -90,7 +77,6 @@ _FOLLOW = bytes(_NEXT.get(c, 0) for c in range(256))
 _TOKENS = ("+1", "-1", "1")
 
 _BLOCK = 1 << 20  # bytes of rows written or parsed at a time
-_BREAK_BYTE_RE = re.compile(b"[%s]" % re.escape(_CLASSES[_BREAK]))
 _HEAD_RE = re.compile(b"[%s]*[^%s]*" % (re.escape(_CLASSES[_SPACE] + _CLASSES[_BREAK]), re.escape(_CLASSES[_BREAK])))
 _CANONICAL_HEAD_RE = re.compile(rb"NOS1 ([1-9][0-9]*) ([1-9][0-9]*)\n")  # what _write_nos writes
 
@@ -150,30 +136,10 @@ def _header(text: str) -> tuple[int, int, int]:
     return n, m, body
 
 
-def _codes(text: str, body: int) -> bytearray:
-    """One code per character of the ASCII ``text``; everything before index ``body`` reads as space."""
-    codes = bytearray(text.encode("ascii", "replace")).translate(_CODE)
-    codes[:body] = bytes([_SPACE]) * body
-    return codes
-
-
 def _line_lengths(buf) -> np.ndarray:
     """Length of the run after each break code of ``buf``, up to the next break or the end."""
     breaks = np.flatnonzero(np.frombuffer(buf, np.uint8) == _BREAK)
     return np.diff(breaks, append=len(buf)) - 1
-
-
-def _blocks(data: bytes, lo: int):
-    """(start, end) of each block of ``data`` from index ``lo``, which is a line break or the end.
-
-    A block ends just before the first line break _BLOCK or more bytes on,
-    or at the end, so every block but the first starts at a break.
-    """
-    while lo < len(data):
-        found = _BREAK_BYTE_RE.search(data, lo + _BLOCK)
-        hi = found.start() if found else len(data)
-        yield lo, hi
-        lo = hi
 
 
 def _first_bad_pair(codes: bytearray) -> int:
@@ -184,66 +150,97 @@ def _first_bad_pair(codes: bytearray) -> int:
     follow = codes.translate(_FOLLOW)
     c, f = np.frombuffer(codes, np.uint8), np.frombuffer(follow, np.uint8)
     np.bitwise_and(f[:-1], c[1:], out=f[:-1])
-    f[-1] &= _SPACE
+    f[-1:] &= _SPACE
     return follow.find(0)
 
 
-def _parse_rows(data: bytes, body: int, n: int, m: int, text: str | None) -> np.ndarray:
-    """The (m, n) bits of the rows after index ``body`` of the ASCII ``data`` (True = -1), a block at a time.
+def _line_blocks(fh):
+    """The binary stream ``fh`` in blocks of whole lines: each read is cut just before its last line break."""
+    carry = []
+    while chunk := fh.read(_BLOCK):
+        cut = -1
+        for b in _CLASSES[_BREAK]:  # each search starts after the last break found so far
+            cut = max(cut, chunk.rfind(b, cut + 1))
+        if cut >= 0:
+            yield bytearray().join([*carry, memoryview(chunk)[:cut]])
+            carry, chunk = [], chunk[cut:]
+        carry.append(chunk)
+    yield bytearray().join(carry)
 
-    ``text`` is ``data`` as a str, if at hand, for the error message.
-    """
-    bits = np.empty((m, n), dtype=bool)
-    row, bad, tokens = 0, -1, [np.zeros(0, dtype=np.intp)]
-    for lo, hi in _blocks(data, body):
-        codes = bytearray(memoryview(data)[lo:hi]).translate(_CODE)
-        found = _first_bad_pair(codes)  # a block is followed by a break or the end, which pass as a space
+
+def _parse_rows(fh) -> tuple[int, list[int]] | None:
+    """n and the row masks of the `.nos` text in the binary stream ``fh``; None at a fault or a non-ASCII byte."""
+    m, masks = 0, []
+    for block in _line_blocks(fh):
+        if not m:  # the header is the first line that is not blank
+            if not (block := block.lstrip(_CLASSES[_SPACE] + _CLASSES[_BREAK])):
+                continue
+            try:
+                n, m, body = _header(block[: _HEAD_RE.match(block).end()].decode("ascii"))
+            except (UnicodeDecodeError, NosFormatError):
+                return None
+            del block[:body]
+        codes = block.translate(_CODE)
+        del block  # so that no more than two block-sized buffers live at a time
+        if _first_bad_pair(codes) >= 0:  # a block is followed by a break or the end, which pass as a space
+            return None
         signs = codes.translate(None, bytes([_SPACE, _PLUS]))  # a token is now -1 or 1
-        del codes  # so that no more than two block-sized buffers live at a time
-        tokens.append(_line_lengths(signs.translate(None, bytes([_MINUS]))))  # '1's per line
-        rows = tokens[-1][tokens[-1] > 0]
-        if found >= 0 or row + len(rows) > m or np.any(rows != n):
-            bad = lo + found if found >= 0 else -1
-            break
+        del codes
+        tokens = _line_lengths(signs.translate(None, bytes([_MINUS])))  # '1's per line
+        rows = tokens[tokens > 0]
+        if len(masks) + len(rows) > m or np.any(rows != n):
+            return None
         s = np.frombuffer(signs, np.uint8)
-        bits[row : row + len(rows)] = (s[:-1] == _MINUS)[s[1:] == _ONE].reshape(-1, n)
-        row += len(rows)
-    else:
-        if row == m:
-            return bits
-    _raise_first_fault(data.decode("ascii") if text is None else text, body, n, m, bad, np.concatenate(tokens))
+        masks += bits_to_masks((s[:-1] == _MINUS)[s[1:] == _ONE].reshape(-1, n))
+    return (n, masks) if m and len(masks) == m else None
 
 
-def _raise_first_fault(text: str, body: int, n: int, m: int, bad: int, tokens: np.ndarray):
-    """Raise the error for the row count, or else for the first row with a wrong token count or token.
+def _raise_first_fault(data: bytes):
+    """Raise the error for the header, the row count, or else the first row with a wrong token count or token.
 
-    ``bad`` is the position of the first invalid pair of characters (-1 if
-    none) and ``tokens`` the count of '1's on each line, which is its token
-    count on every line before the one holding ``bad``. When ``bad`` is -1,
-    ``tokens`` may stop at the line that has a wrong count.
+    ``data`` is `.nos` text with an ASCII header. Only the line that a token message quotes is decoded.
     """
-    codes = _codes(text, body)
+    n, m, body = _header(data[: _HEAD_RE.match(data).end()].decode("ascii"))
+    codes = bytearray(data).translate(_CODE)
+    codes[:body] = bytes([_SPACE]) * body
     nonblank = _line_lengths(codes.translate(None, bytes([_SPACE]))) > 0
     if nonblank.sum() != m:
         raise NosFormatError(f"header promises {m} rows, found {nonblank.sum()}")
+    # the '1's of a line are its tokens on every line before the one with the first invalid pair of characters
+    tokens = _line_lengths(codes.translate(None, bytes([_SPACE, _PLUS, _MINUS])))
+    bad = _first_bad_pair(codes)
     line = codes.count(_BREAK, 0, bad + 1) - 1 if bad >= 0 else len(tokens)
     wrong = np.flatnonzero(nonblank[:line] & (tokens[:line] != n))
     if len(wrong):
         line = wrong[0]
     breaks = np.append(np.flatnonzero(np.frombuffer(codes, np.uint8) == _BREAK), len(codes))
     row = int(nonblank[:line].sum())
-    found = text[breaks[line] + 1 : breaks[line + 1]].split()
+    found = data[breaks[line] + 1 : breaks[line + 1]].decode("utf-8", "surrogatepass").split()
     if len(found) != n:
         raise NosFormatError(f"row {row} has {len(found)} tokens, expected {n}")
     col = next(j for j, token in enumerate(found) if token not in _TOKENS)
     raise NosFormatError(f"row {row}, column {col}: token {found[col]!r} is not +1 or -1")
 
 
-def _parse_nos(data: bytes, text: str | None = None) -> SignFlipSubgroup:
-    """Parse and fully validate the ASCII bytes of `.nos` text; ``text`` is them as a str, if at hand."""
-    n, m, body = _header(data[: _HEAD_RE.match(data).end()].decode("ascii"))
-    masks = bits_to_masks(_parse_rows(data, body, n, m, text))
-
+def _parse_nos(fh) -> SignFlipSubgroup:
+    """Parse and fully validate the `.nos` text in the seekable binary stream ``fh``."""
+    fh.seek(0)
+    parsed = _parse_rows(fh)
+    if parsed is None:  # a fault, or text that is not ASCII: read it whole
+        fh.seek(0)
+        data = fh.read()
+        if not data.isascii():
+            text = data.decode("utf-8", "surrogatepass")
+            n, m, body = _header(text)  # a bad header is reported as it is written, a good one rewritten in ASCII
+            head = len(text[:body].splitlines()) - 1
+            text = "\n".join(f"{_MAGIC} {n} {m}" if i == head else " ".join(ln.split())  # single spaces and newlines
+                             for i, ln in enumerate(text.splitlines()))
+            data = text.encode("utf-8", "surrogatepass")
+            parsed = _parse_rows(BytesIO(data))
+        if parsed is None:
+            _raise_first_fault(data)
+    n, masks = parsed
+    m = len(masks)
     if masks[0] != 0:
         raise NosFormatError("first row must be the identity (all +1)")
     if len(set(masks)) != m:
@@ -255,14 +252,22 @@ def _parse_nos(data: bytes, text: str | None = None) -> SignFlipSubgroup:
         sub = subgroup_from_basis_masks(n, [masks[1 << i] for i in range(m.bit_length() - 1)])
         if sub.element_masks() == masks:
             return sub
-    mask_set = set(masks)
+    # Name the first pair in row order whose composition is missing. A row with every composition present maps
+    # the rows onto themselves, as does every row in the span of such rows: at most log2(M) + 1 rows are scanned.
+    mask_set, scanned = set(masks), []  # a basis of the rows scanned, in descending order of leading bit
     for a in masks:
+        x = a
+        for r in scanned:
+            x = min(x, x ^ r)
+        if x == 0:
+            continue
         for b in masks:
             if a ^ b not in mask_set:
                 raise NosFormatError(
                     f"not closed under composition: rows with masks {a:#x} and {b:#x} "
                     f"compose to {a ^ b:#x}, which is missing"
                 )
+        scanned = sorted([*scanned, x], reverse=True)
 
 
 class _Differs(Exception):
@@ -307,28 +312,22 @@ def _read_canonical(fh, size: int) -> SignFlipSubgroup | None:
     return s
 
 
+def _read_nos(fh) -> SignFlipSubgroup:
+    """The subgroup of the `.nos` text in the seekable binary stream ``fh``: checked if canonical, else parsed."""
+    size = fh.seek(0, os.SEEK_END)
+    fh.seek(0)
+    return _read_canonical(fh, size) or _parse_nos(fh)
+
+
 def parse_subgroup(text: str) -> SignFlipSubgroup:
     """Parse and fully validate `.nos` text."""
-    if text.isascii():
-        data = text.encode("ascii")
-        s = _read_canonical(BytesIO(data), len(data))
-        return _parse_nos(data) if s is None else s
-    _header(text)  # a bad header is reported as it is written
-    # one space between tokens, one newline between lines
-    text = "\n".join(" ".join(ln.split()) for ln in text.splitlines())
-    return _parse_nos(text.encode("ascii", "replace"), text)
+    return _read_nos(BytesIO(text.encode("utf-8", "surrogatepass")))
 
 
 def read_subgroup(path) -> SignFlipSubgroup:
     """Read a `.nos` file: a canonical file by comparing it with its subgroup's text, any other by the parser."""
     with open(path, "rb", buffering=0) as fh:
-        if fh.seekable():  # a pipe is read whole
-            s = _read_canonical(fh, os.fstat(fh.fileno()).st_size)
-            if s is not None:
-                return s
-            fh.seek(0)
-        data = fh.read()
-    return _parse_nos(data) if data.isascii() else parse_subgroup(data.decode("utf-8"))
+        return _read_nos(fh if fh.seekable() else BytesIO(fh.read()))  # a pipe is read whole
 
 
 def read_data(path) -> np.ndarray:

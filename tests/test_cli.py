@@ -76,6 +76,15 @@ def test_delta_malformed_file(tmp_path, capsys):
     assert "not closed" in err
 
 
+def test_delta_of_a_tiny_file_with_a_huge_header(tmp_path, capsys):
+    # nothing is allocated by the M of the header: no (M, n) array of 931 GiB
+    sub = tmp_path / "huge.nos"
+    sub.write_text("NOS1 1000000 1000000\n+1\n", encoding="ascii")
+    code, _, err = _run(capsys, "delta", str(sub))
+    assert code == EXIT_VALIDATION
+    assert "header promises 1000000 rows, found 1" in err
+
+
 def test_delta_missing_file(tmp_path, capsys):
     code, _, _ = _run(capsys, "delta", str(tmp_path / "nope.nos"))
     assert code == EXIT_IO

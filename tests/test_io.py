@@ -4,7 +4,9 @@ import contextlib
 import itertools
 import os
 import threading
+import time
 import tracemalloc
+from io import BytesIO
 
 import numpy as np
 import pytest
@@ -358,10 +360,10 @@ def test_read_subgroup_refuses_invalid_utf8(tmp_path):
 
 @pytest.fixture
 def parser_calls(monkeypatch):
-    """The texts that reach the full parser: a canonical file that takes the check adds none."""
+    """The streams that reach the full parser: a canonical file that takes the check adds none."""
     calls = []
     parse = nos_io._parse_nos
-    monkeypatch.setattr(nos_io, "_parse_nos", lambda data, text=None: calls.append(data) or parse(data, text))
+    monkeypatch.setattr(nos_io, "_parse_nos", lambda fh: calls.append(fh) or parse(fh))
     return calls
 
 
@@ -370,7 +372,7 @@ def test_canonical_files_take_the_check_and_give_the_parsers_subgroup(tmp_path, 
     seen = set()
     for n, s in [*_writer_cases(), (1, subgroup_from_basis_masks(1, [1]))]:
         text = format_subgroup(s)
-        want = nos_io._parse_nos(text.encode("ascii"))
+        want = nos_io._parse_nos(BytesIO(text.encode("ascii")))
         parser_calls.clear()
         write_subgroup(path, s)
         assert read_subgroup(path) == want, (n, s.order)  # the same basis and elements
@@ -464,9 +466,46 @@ def test_read_subgroup_peak_memory_at_n_2048(tmp_path):
 
 
 def test_files_that_take_the_parser_keep_the_parsers_memory_bounds(tmp_path):
-    # the bounds of the parse and read pins above, whose canonical texts now take the check, on CRLF text
+    # the parse pin above, whose canonical text now takes the check, on CRLF text; a CRLF file is parsed from
+    # the stream: no file-sized bytes and no (M, n) bits (19.0 MiB for the 12.6 MB file before)
     text = format_subgroup(oracle_signflip(1024, 10)).replace("\n", "\r\n")
     assert _peak(lambda: parse_subgroup(text)) <= 3 * len(text)
     path = tmp_path / "s.nos"
     path.write_bytes(format_subgroup(oracle_signflip(2048, 11)).replace("\n", "\r\n").encode("ascii"))
-    assert _peak(lambda: read_subgroup(path)) < 2 * path.stat().st_size
+    assert _peak(lambda: read_subgroup(path)) < 8 * 2**20
+
+
+def test_header_after_blank_blocks_and_rows_split_across_reads(tmp_path):
+    # 16-byte reads: the header follows several reads of blank lines, and rows of 15 or 16 bytes are cut by
+    # reads that end inside them
+    s = subgroup_from_basis_masks(5, [0b00011, 0b11000])
+    text = format_subgroup(s)
+    path = tmp_path / "s.nos"
+    with _blocks_of(16):
+        for blanks in (" \n" * 20, "\r\n\t\r\n" * 9 + "\n"):
+            assert parse_subgroup(blanks + text) == s
+            path.write_bytes((blanks + text).encode("ascii"))
+            assert read_subgroup(path) == s
+        assert parse_subgroup(text.replace("\n", "\r\n")) == s
+        with pytest.raises(NosFormatError, match="row 2, column 4: token '-11' is not"):
+            parse_subgroup("\n" * 40 + text.replace("-1\n", "-11\n", 1).replace("\n", "\r\n"))
+
+
+def _closure_fault_text(k: int) -> str:
+    """Rows K, 2^k ^ K and 2^(k+1) ^ K, with K the masks below 2^k: sorted and distinct, 2^k ^ 2^(k+1) missing."""
+    n, masks = k + 2, [*range(3 << k)]
+    bits = masks_to_bits(masks, n)
+    return f"NOS1 {n} {len(masks)}\n" + "".join(" ".join("-1" if b else "+1" for b in row) + "\n" for row in bits)
+
+
+def test_closure_fault_in_many_rows_scans_few_of_them():
+    # every row of K maps the rows onto themselves: the scan of 24 576 rows composes 14 rows with all the
+    # others, not all pairs (10.6 s before, on a 2-vCPU VM)
+    for k in range(1, 7):
+        text = _closure_fault_text(k)
+        assert _outcome(parse_subgroup, text) == _outcome(_reference_parse, text), k
+    text = _closure_fault_text(13)
+    start = time.perf_counter()
+    with pytest.raises(NosFormatError, match="rows with masks 0x2000 and 0x4000 compose to 0x6000, which is missing"):
+        parse_subgroup(text)
+    assert time.perf_counter() - start < 2
