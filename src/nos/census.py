@@ -18,13 +18,13 @@ leak multiset is the weight distribution, MacWilliams duality derives
 ranks above n // 2 from those below.
 
 The heavy path is one serial loop over pivot sets, vectorized with numpy
-over batches of at most _BATCH_ELEMS group elements. The one XOR
-doubling, ``flipcore._span_rows``, expands int16 or int32 basis rows into
-elements, for the batches and for the representatives, whose classes are
-merged, coded and ordered in array passes. Along a random direction at
-n = 8 each of the 417 199 subgroups is its own class: ``leak_census``
-takes 2.4-3.0 s, and one-shot ``nos census --n 8 --iota`` 12-15 s at
-520 MiB peak RSS (2 vCPU), mostly writing JSON.
+over batches of at most _BATCH_ELEMS group elements. ``flipcore._span_rows``,
+the one XOR doubling, broadcasts a pivot set's basis row values, one axis
+per row, into the batches' elements, and expands the representatives' rows;
+classes are keyed, merged, coded and ordered in array passes. Along a random
+direction at n = 8 each of the 417 199 subgroups is its own class:
+``leak_census`` takes 2.2-2.5 s, and one-shot ``nos census --n 8 --iota``
+14 s at 523 MiB peak RSS (2 vCPU), mostly writing JSON.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from .leak import Direction, _leak_spectrum
 
 #: above this dimension enumeration will not finish at desk scale
 ENUMERATION_GUARD_N = 12
-_BATCH_ELEMS = 1 << 20  # group elements per batch, which bounds the batch and its key temporaries
+_BATCH_ELEMS = 1 << 20  # group elements per batch, 2 MiB of int16 spans, which bounds the batch and its key temporaries
 
 
 class EnumerationGuardError(ValueError):
@@ -81,8 +81,7 @@ def count_all_subgroups(n: int) -> int:
 
 def _free_positions(n: int, pivots: tuple[int, ...]) -> list[list[int]]:
     """Free bit positions per basis row, for the reduced echelon form."""
-    pivot_set = set(pivots)
-    return [[j for j in range(q + 1, n) if j not in pivot_set] for q in pivots]
+    return [[j for j in range(q + 1, n) if j not in pivots] for q in pivots]
 
 
 def _row_values(pivot: int, free: list[int]) -> list[int]:
@@ -98,9 +97,6 @@ def enumerate_subgroups(n: int, p: int, allow_large: bool = False) -> Iterator[S
     _check_guard(n, allow_large)
     if not 0 <= p <= n:
         raise ValueError(f"rank p={p} outside [0, {n}]")
-    if p == 0:
-        yield subgroup_from_basis_masks(n, [])
-        return
     for pivots in combinations(range(n), p):
         frees = _free_positions(n, pivots)
         for rows in product(*(_row_values(q, f) for q, f in zip(pivots, frees))):
@@ -110,27 +106,23 @@ def enumerate_subgroups(n: int, p: int, allow_large: bool = False) -> Iterator[S
 def _pivotset_batches(n: int, pivots: tuple[int, ...]):
     """Yield the (K, 2^p) ``_span_rows`` of all reduced echelon bases with the given pivots.
 
-    One subgroup per row in the order of ``enumerate_subgroups``, so column
-    2^j is basis row j. The product over free entries is split so that a
-    batch holds at most _BATCH_ELEMS elements, or one subgroup's 2^p when
-    that is more.
+    One subgroup per row in the order of ``enumerate_subgroups``: column 2^j
+    is basis row j, whose values lie along product axis j, the first slowest.
+    A batch fixes the leading axes and slices the next, so that it holds at
+    most _BATCH_ELEMS elements, or one subgroup's 2^p when that is more.
     """
-    p = len(pivots)
-    dtype = np.int16 if n <= 14 else np.int32
-    value_lists = [np.array(_row_values(q, f), dtype=dtype) for q, f in zip(pivots, _free_positions(n, pivots))]
-    total = prod(len(vals) for vals in value_lists)
-    step = max(1, _BATCH_ELEMS >> p)
-    for start in range(0, total, step):
-        index = np.arange(start, min(start + step, total))
-        rows = np.empty((len(index), p), dtype=dtype)
-        stride = total
-        for j, vals in enumerate(value_lists):
-            # basis row j is digit j of the product index, the first digit moving slowest
-            stride //= len(vals)
-            rows[:, j] = vals[index // stride % len(vals)]
-        elements = _span_rows(rows)
-        del rows, index  # not held while the caller keys the batch
-        yield elements
+    p, dtype = len(pivots), (np.int16 if n <= 14 else np.int32)
+    if not p:
+        yield _span_rows(np.zeros((1, 0), dtype=dtype))
+        return
+    axes = [np.array(_row_values(q, f), dtype=dtype) for q, f in zip(pivots, _free_positions(n, pivots))]
+    axes = [vals.reshape((-1,) + (1,) * (p - 1 - j)) for j, vals in enumerate(axes)]
+    step = max(1, _BATCH_ELEMS >> p)  # subgroups per batch
+    cut = next(j for j in range(p) if prod(map(len, axes[j + 1 :])) <= step)  # the sliced axis
+    width = step // prod(map(len, axes[cut + 1 :]))
+    pieces = [np.split(vals, range(w, len(vals), w)) for vals, w in zip(axes, [1] * cut + [width])]
+    for head in product(*pieces):
+        yield _span_rows([*head, *axes[cut + 1 :]])
 
 
 def _sorted_row_keys(table, rows):
@@ -139,8 +131,13 @@ def _sorted_row_keys(table, rows):
 
 
 def _first_of_keys(keys):
-    """The distinct keys, int64 scalars or rows, and the index of each one's first occurrence."""
-    return np.unique(keys, axis=0 if keys.ndim > 1 else None, return_index=True)
+    """The distinct keys, int64 scalars or rows, and the index of each one's first occurrence, as ``np.unique``."""
+    if keys.ndim > 1:
+        return np.unique(keys, axis=0, return_index=True)
+    order = np.argsort(keys)  # unstable: a key's first occurrence is the least index in its run
+    keys = keys[order]
+    starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    return keys[starts], np.minimum.reduceat(order, starts)
 
 
 def _enumerator_keys(lut, rows):
@@ -148,7 +145,10 @@ def _enumerator_keys(lut, rows):
 
     Summed one column at a time, so no (K x 2^p) int64 temporary exists.
     """
-    return sum(lut[rows[:, c]] for c in range(rows.shape[1]))
+    keys = lut.take(rows[:, 0])
+    for c in range(1, rows.shape[1]):
+        keys += lut.take(rows[:, c])
+    return keys
 
 
 def _dual_basis(n: int, basis) -> list[int]:
@@ -250,7 +250,7 @@ def leak_census(
             for elements in _pivotset_batches(n, pivots):
                 batch_keys, first = _first_of_keys(key_fn(elements))
                 keys.append(batch_keys)
-                bases.append(elements[first][:, [1 << j for j in range(p)]])
+                bases.append(elements[first[:, None], 1 << np.arange(p)])
         classes[p] = np.concatenate(bases)[_first_of_keys(np.concatenate(keys))[1]]
 
     distinct_counts, representatives = {}, []

@@ -85,6 +85,25 @@ def coset_minima(words: np.ndarray, rows: tuple[int, ...]) -> np.ndarray:
     return words
 
 
+def _doubling_scores(n: int, objective: str, e_words: np.ndarray, candidates: np.ndarray) -> np.ndarray:
+    """The int64 objective of S + rS for each candidate row r of words; ``e_words`` lists S, identity first."""
+    own = n - 2 * np.bitwise_count(e_words[1:]).sum(axis=1, dtype=np.int64)  # S's own leaks
+    scores = np.empty(len(candidates), dtype=np.int64)
+    # one word of r ^ e, its popcount and the running flip counts take under 16 bytes per candidate and e
+    chunk = max(1, min(_CHUNK, len(candidates), _TEMP_BYTES // (16 * len(e_words))))
+    xor = np.empty((len(e_words), chunk), dtype=np.uint64)  # reused by each chunk
+    for lo in range(0, len(candidates), chunk):
+        words = candidates[lo : lo + chunk].T.copy()  # per chunk, so no transposed copy of every candidate
+        flips = np.zeros((len(e_words), words.shape[1]), dtype=np.min_scalar_type(n))
+        for w, row in enumerate(words):
+            flips += np.bitwise_count(np.bitwise_xor(e_words[:, w, None], row, out=xor[:, : len(row)]))
+        hi = np.maximum(n - 2 * flips.min(axis=0).astype(np.int64), own.max(initial=-n - 1))
+        if objective == "delta_abs":
+            hi = np.maximum(hi, np.maximum(2 * flips.max(axis=0).astype(np.int64) - n, -own.min(initial=n + 1)))
+        scores[lo : lo + chunk] = hi
+    return scores
+
+
 def greedy_near_oracle(
     n: int,
     target_order: int,
@@ -107,8 +126,9 @@ def greedy_near_oracle(
     ones to their cosets' smallest masks and the smallest of those is kept.
 
     Candidates stay packed as ceil(n / 64) 64-bit words from the draw to
-    the tie-break: the doubled subgroup's new elements r ^ e flip
-    popcount(r ^ e) coordinates, so every score is an exact integer.
+    the tie-break and are scored element-major: word w of every new element
+    r ^ e is a chunk's word-w row XOR e_words[:, w, None], and the exact
+    (|S|, chunk) flip counts, summed over the words, reduce along axis 0.
     """
     if objective not in ("delta", "delta_abs"):
         raise ValueError(f"unknown objective {objective!r}")
@@ -128,24 +148,11 @@ def greedy_near_oracle(
     rng = np.random.default_rng(seed)
     s = init
     while s.order < target_order:
-        elems = s.element_masks()
-        e_words = masks_to_words(elems, n)
-        # scaled leak values are exact integers n - 2*popcount on the n axis
-        cur_max = max((n - 2 * e.bit_count() for e in elems[1:]), default=-n - 1)
-        cur_min = min((n - 2 * e.bit_count() for e in elems[1:]), default=n + 1)
-
+        e_words = masks_to_words(s.element_masks(), n)
         candidates = distinct_masks(rng, n, 1, min(candidate_budget, (1 << n) - s.order), e_words)[0]
-        scores = np.empty(len(candidates), dtype=np.int64)
-        chunk = max(1, min(_CHUNK, _TEMP_BYTES // e_words.nbytes))  # r ^ e_words takes e_words.nbytes a row
-        for lo in range(0, len(candidates), chunk):
-            r = candidates[lo : lo + chunk, None, :]
-            flips = np.bitwise_count(r ^ e_words).sum(axis=2, dtype=np.int64)
-            hi = np.maximum(n - 2 * flips.min(axis=1), cur_max)
-            if objective == "delta_abs":
-                hi = np.maximum(hi, np.maximum(2 * flips.max(axis=1) - n, -cur_min))
-            scores[lo : lo + chunk] = hi
+        scores = _doubling_scores(n, objective, e_words, candidates)
         leaders = coset_minima(candidates[scores == scores.min()], s.canonical_rows)
-        del candidates, scores, r  # r views candidates; free both before the next round draws
+        del candidates, scores  # freed before the next round draws
         s = extend(s, SignFlipElement(n, words_to_masks(leaders[np.lexsort(leaders.T)[:1]])[0]))
     return s
 
@@ -162,14 +169,9 @@ def oracle_orthogonal(n: int, p: int, iota: Direction) -> MatrixRepresentation:
         raise InfeasibleOrderError(f"order p={p} must satisfy 1 <= p <= n={n}")
     if iota.n != n:
         raise ValueError(f"direction has n={iota.n}, expected {n}")
-    e1 = np.zeros(n)
-    e1[0] = 1.0
-    v = e1 - iota.coords
+    v = np.eye(n)[0] - iota.coords  # the reflection exchanging e_1 and iota is I - 2 v v' / v'v
     vnorm2 = float(v @ v)
-    if vnorm2 < 1e-24:
-        q = np.eye(n)
-    else:
-        q = np.eye(n) - 2.0 * np.outer(v, v) / vnorm2
+    q = np.eye(n) if vnorm2 < 1e-24 else np.eye(n) - 2.0 * np.outer(v, v) / vnorm2
     return MatrixRepresentation(n, p, q[:, :p])
 
 
@@ -177,9 +179,7 @@ def iota_two_sample(m1: int, m2: int) -> Direction:
     """Unit contrast direction for a two-sample mean comparison."""
     if m1 < 1 or m2 < 1:
         raise ValueError("both group sizes must be positive")
-    n = m1 + m2
-    c = 1.0 / math.sqrt(n)
-    return Direction(n, np.concatenate([np.full(m1, c), np.full(m2, -c)]))
+    return Direction(m1 + m2, np.repeat([1.0, -1.0], [m1, m2]) / math.sqrt(m1 + m2))
 
 
 def two_sample_oracle(m1: int, m2: int, base: SignFlipSubgroup | None = None) -> MatrixRepresentation:

@@ -7,8 +7,8 @@ inverse. Subgroups are exactly the GF(2)-linear subspaces of the mask
 space. A subgroup is stored as its reduced echelon basis, which is unique
 per subspace, so equality of subgroups is equality of bases; its elements,
 sorted by mask value with the identity first, are derived from the basis
-by the one XOR doubling, ``_span_rows``, which also expands the census's
-batches of basis rows.
+by the one XOR doubling, ``_span_rows``, which also broadcasts the census's
+basis row values into batches of elements.
 
 Masks are plain Python integers, which covers any n. Code that handles
 many masks at once holds them as arrays of ceil(n / 64) little-endian
@@ -256,16 +256,23 @@ def _walsh_hadamard(b: np.ndarray) -> np.ndarray:
     return b
 
 
-def _span_rows(rows: np.ndarray) -> np.ndarray:
-    """The (K, 2^p) elements spanned by (K, p) basis rows: column i is the XOR of the rows at the set bits of i.
+def _span_rows(rows) -> np.ndarray:
+    """The (K, 2^p) elements spanned by K sets of p basis rows: column i is the XOR of the rows at the set bits of i.
 
-    Integer rows give fixed-width masks; ``dtype=object`` rows hold Python-int masks of any n.
+    ``rows`` is a (K, p) array, or a list of p >= 1 arrays that broadcast to one batch shape of K
+    entries, taken in C order. Integer rows give fixed-width masks; ``dtype=object`` rows hold
+    Python-int masks of any n.
     """
-    # filled as the transpose, so that each column is one contiguous row
-    columns = np.zeros((1 << rows.shape[1], len(rows)), dtype=rows.dtype)
-    for j in range(rows.shape[1]):
-        np.bitwise_xor(columns[: 1 << j], rows[:, j], out=columns[1 << j : 2 << j])
-    return columns.T
+    if isinstance(rows, np.ndarray):
+        shape, dtype, rows = rows.shape[:1], rows.dtype, list(rows.T)
+    else:
+        shape, dtype = np.broadcast(*rows).shape, rows[0].dtype
+    # filled as the transpose, so that each column is one contiguous row; the last row first, so the
+    # rows that vary along the batch's slow axes, whose XORs run in long inner loops, fill the most columns
+    columns = np.zeros((1 << len(rows),) + shape, dtype=dtype)
+    for j in reversed(range(len(rows))):
+        np.bitwise_xor(columns[:: 2 << j], rows[j], out=columns[1 << j :: 2 << j])
+    return columns.reshape(len(columns), -1).T
 
 
 @dataclass(frozen=True)

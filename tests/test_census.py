@@ -10,6 +10,7 @@ from nos import census
 from nos.census import (
     EnumerationGuardError,
     _enumerator_keys,
+    _first_of_keys,
     _fixed_by_cycle_type,
     _partitions,
     _pivotset_batches,
@@ -213,6 +214,15 @@ def test_batches_are_bounded_and_hold_their_bases(monkeypatch):
                         batches.append(elements)
                 reference = [[b.mask for b in s.basis] for s in enumerate_subgroups(n, p)]
                 assert np.concatenate(batches)[:, [1 << j for j in range(p)]].tolist() == reference
+
+
+def test_first_of_keys_matches_unique():
+    rng = np.random.default_rng(29)
+    cases = [rng.integers(-50, 50, size=size) for size in (2, 17, 1000, 100_000)]  # heavy repeats
+    cases += [rng.integers(-(2**62), 2**62, size=5000), np.array([7]), np.full(300, -3)]
+    for keys in cases:
+        got, expected = _first_of_keys(keys.astype(np.int64)), np.unique(keys, return_index=True)
+        assert all(np.array_equal(a, b) for a, b in zip(got, expected))
 
 
 def _flip_counts(n):

@@ -1,5 +1,6 @@
 """Oracle and near-oracle subgroup constructors."""
 
+import hashlib
 import tracemalloc
 import warnings
 from itertools import product
@@ -9,6 +10,7 @@ import pytest
 
 from nos.construct import (
     InfeasibleOrderError,
+    _doubling_scores,
     coset_minima,
     greedy_near_oracle,
     iota_two_sample,
@@ -189,6 +191,38 @@ def test_greedy_pins_at_n20():
     }
     for seed, basis in pins.items():
         assert [b.mask for b in greedy_near_oracle(20, 64, seed=seed).basis] == basis, seed
+
+
+@pytest.mark.parametrize("n", [24, 65, 130])
+def test_element_major_scores_match_the_row_major_formula(n, monkeypatch):
+    # 65 and 130 take two and three words per mask, so the counts sum over words
+    from nos import construct
+
+    rng, default = np.random.default_rng(n), construct._TEMP_BYTES
+    for rank in (0, 1, 4, 7):
+        s = subgroup_from_basis_masks(n, words_to_masks(random_masks(rng, n, (rank,))))
+        e_words = masks_to_words(s.element_masks(), n)
+        candidates = random_masks(rng, n, (300,))
+        flips = np.bitwise_count(candidates[:, None, :] ^ e_words).sum(axis=2, dtype=np.int64)
+        own = [n - 2 * e.bit_count() for e in s.element_masks()[1:]]
+        delta = np.maximum(n - 2 * flips.min(axis=1), max(own, default=-n - 1))
+        delta_abs = np.maximum(delta, np.maximum(2 * flips.max(axis=1) - n, -min(own, default=n + 1)))
+        for budget in (default, 20_000):  # one chunk, then at ranks 4 and 7 chunks of 78 and 9, the last one short
+            monkeypatch.setattr(construct, "_TEMP_BYTES", budget)
+            for objective, expected in (("delta", delta), ("delta_abs", delta_abs)):
+                got = _doubling_scores(n, objective, e_words, candidates)
+                assert got.dtype == np.int64 and np.array_equal(got, expected), (n, rank, objective, budget)
+
+
+def test_greedy_pins_at_wide_masks():
+    # bases of four- and sixteen-word masks, pinned by a digest of their masks
+    pins = {
+        (200, 512): "03bb42e24f74240d5aa9c1a2876ea591afe405189612d17ff995b6026431fb4b",
+        (1000, 1024): "e76fb29d4bfdd7ee301890b21a9038cb0ba806727c173f4a2521bf01e7797824",
+    }
+    for (n, order), digest in pins.items():
+        basis = [b.mask for b in greedy_near_oracle(n, order, seed=1).basis]
+        assert hashlib.sha256(repr(basis).encode()).hexdigest() == digest, (n, order)
 
 
 def test_greedy_peak_memory():
