@@ -22,10 +22,13 @@ by at most d eps/2 ||x||_2: by n eps ||x||_2 at most, the bound behind tau.
 The MC sign-flip patterns are drawn as packed mask words by the flipcore
 sampler, ``random_masks`` with replacement or ``distinct_masks`` outside
 the identity without, and unpacked to +-1 signs once per chunk. The MC z
-family has no data vector and uses tau = 0. The MC orthogonal family
-draws each statistic from the symmetric Beta law, O(M) work per dataset.
-The full-orthogonal-group test has a closed form through the same law
-and is equivalent to the one-sample t-test.
+family has no data vector and uses tau = 0. An MC orthogonal draw reaches
+the observed statistic with a chance that depends on the dataset only
+through z = (obs - tau) / ||x||, the symmetric Beta law's upper tail at z
+(``special.beta_sym_sf``), so a dataset's exceed count is one binomial
+variate: O(n) work per dataset, whatever M is. The full-orthogonal-group
+test has a closed form through the same law and is equivalent to the
+one-sample t-test.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from .flipcore import (
     DimensionMismatchError, _walsh_hadamard, distinct_masks, masks_to_bits, masks_to_words, random_masks,
 )
 from .leak import Direction, MatrixRepresentation
-from .special import beta_sym_cdf
+from .special import _TEMP_BYTES, beta_sym_cdf, beta_sym_sf
 
 __all__ = [
     "Dataset",
@@ -134,8 +137,6 @@ def statistic(x, iota: Direction, side: str = "one") -> float:
 
 #: rows per Monte Carlo draw; fixes the draw order of seeded batches
 _CHUNK = 4096
-#: bytes of one temporary that grows as rows x n x M (MC sign-flip signs here, greedy scores in construct)
-_TEMP_BYTES = 1 << 24
 #: tie tolerance tau = _TIE_EPS * n * ||x||_2 (see the module docstring)
 _TIE_EPS = 2.0 * np.finfo(float).eps
 
@@ -155,6 +156,23 @@ def _exceed(stats: np.ndarray, obs: np.ndarray, tau: np.ndarray, side: str) -> n
     if side == "two":
         stats, obs = np.abs(stats), np.abs(obs)
     return (stats >= (obs - tau)[:, None]).sum(axis=1)
+
+
+def _orthogonal_tail(X: np.ndarray, obs: np.ndarray, tau: np.ndarray, side: str) -> np.ndarray:
+    """Per row, the chance that one uniform rotation's statistic u ||x|| reaches obs - tau.
+
+    That is P(u >= z) at z = (obs - tau) / ||x||. Two-sided, |u| ||x||
+    against |obs| - tau, it is P(|u| >= z) = min(1, 2 P(u >= z)), which is
+    1 for z <= 0, where P(u >= z) >= 1/2 exactly. At n = 1, u = +-1 with
+    probability 1/2 each. A row with x = 0 (or an overflowing norm) takes
+    z = -inf: every rotation reaches it, as every one ties x = 0.
+    """
+    n = X.shape[1]
+    norm = np.linalg.norm(X, axis=1)
+    thr = (np.abs(obs) if side == "two" else obs) - tau
+    z = np.divide(thr, norm, out=np.full(len(norm), -np.inf), where=(norm > 0) & (norm < np.inf))
+    upper = beta_sym_sf(z, n) if n > 1 else 0.5 * (z <= 1.0) + 0.5 * (z <= -1.0)
+    return np.minimum(1.0, 2.0 * upper) if side == "two" else upper
 
 
 def _subgroup_stats(X: np.ndarray, rep: MatrixRepresentation) -> np.ndarray:
@@ -191,10 +209,12 @@ def exceed_counts(
     uniform random rotations of ``iota``) or "mc-z" (M - 1 draws of
     N(0, sigma^2) against X @ iota, with tau = 0). Row r's count is the
     number of transformations, the identity included, whose statistic
-    reaches row r's observed one. Monte Carlo draws come from ``rng`` in
-    chunks of 4096 rows, and a chunk's sign-flip signs are unpacked in
-    row slices of at most _TEMP_BYTES. The observed statistics are
-    returned as absolute values when ``side`` is "two".
+    reaches row r's observed one. Monte Carlo draws come from ``rng``:
+    sign patterns and normals in chunks of 4096 rows, a chunk's sign-flip
+    signs unpacked in row slices of at most _TEMP_BYTES, and for
+    "mc-orthogonal" one binomial count per row, 1 + Bin(M - 1, p) with p
+    from ``_orthogonal_tail``. The observed statistics are returned as
+    absolute values when ``side`` is "two".
     """
     X = np.asarray(X, dtype=float)
     if X.ndim == 1:
@@ -205,6 +225,9 @@ def exceed_counts(
         stats = _subgroup_stats(X, rep)
         obs = stats[:, 0]
         counts = _exceed(stats, obs, tau, side)
+    elif family == "mc-orthogonal":
+        obs = X @ iota
+        counts = 1 + rng.binomial(M - 1, _orthogonal_tail(X, obs, tau, side))
     else:
         obs = X @ iota
         counts = np.empty(reps, dtype=np.int64)
@@ -225,12 +248,6 @@ def exceed_counts(
                     parts.append(_signflip_stats(signs, xc[s : s + step], iota))
                     del signs  # freed before the next slice unpacks
                 stats = parts[0] if len(parts) == 1 else np.concatenate(parts)
-            elif family == "mc-orthogonal":
-                if n > 1:  # (1 + u) / 2 ~ Beta((n-1)/2, (n-1)/2), which has no n = 1 case
-                    u = 2.0 * rng.beta((n - 1) / 2, (n - 1) / 2, (c, M - 1)) - 1.0
-                else:  # u = +-1 with probability 1/2 each
-                    u = np.sign(rng.standard_normal((c, M - 1)))
-                stats = u * np.linalg.norm(xc, axis=1, keepdims=True)
             elif family == "mc-z":
                 stats = sigma * rng.standard_normal((c, M - 1))
             else:
@@ -293,9 +310,11 @@ def mc_orthogonal_test(data: Dataset, M: int, alpha: float, side: str = "one", s
     Each draw needs only the image of the statistic: iota'Hx = u ||x||,
     where u, the projection of a uniform unit vector on a fixed one, has
     (1 + u) / 2 ~ Beta((n-1)/2, (n-1)/2), the symmetric Beta law of
-    ``full_orthogonal_test``. So each draw is one Beta variate, and no
-    n x n matrix or n-vector is sampled. At n = 1, u = +-1 with
-    probability 1/2 each.
+    ``full_orthogonal_test``. A draw reaches the observed statistic when
+    u >= z = (iota'x - tau) / ||x|| (|u| >= z two-sided), so the M - 1
+    draws' count is Bin(M - 1, p) with p the law's tail at z, and it is
+    drawn as one binomial variate: no rotation, n-vector or Beta variate is
+    sampled. At n = 1, u = +-1 with probability 1/2 each.
     """
     _check_side(side)
     _check_alpha(alpha)

@@ -7,7 +7,7 @@ import pytest
 from scipy import special as sp
 from scipy import stats
 
-from nos.special import beta_sym_cdf, beta_sym_quantile, betainc_reg
+from nos.special import beta_sym_cdf, beta_sym_quantile, beta_sym_sf, betainc_reg
 from nos.testkit import Dataset, full_orthogonal_test
 
 
@@ -84,3 +84,48 @@ def test_full_orthogonal_p_value_is_the_t_tail(n):
         two = full_orthogonal_test(data, alpha=0.05, side="two").p_value
         assert one == pytest.approx(float(stats.t.sf(t, n - 1)), abs=1e-12)
         assert two == pytest.approx(2.0 * float(stats.t.sf(abs(t), n - 1)), abs=1e-12)
+
+
+def _scipy_sym_sf(z, n):
+    # scipy's Beta tail at arguments that round to nothing: 1 - z is exact for
+    # z > 0 (the far tail by symmetry) and 1 + z for z <= -1/2. The plain
+    # beta.sf((z + 1) / 2) loses up to 8e-13 near z = 1 at n = 2, where the
+    # density is steep and z + 1 rounds
+    h = (n - 1) / 2.0
+    return np.where(z > 0, stats.beta.cdf((1.0 - z) / 2.0, h, h), stats.beta.sf((1.0 + z) / 2.0, h, h))
+
+
+@pytest.mark.parametrize("n", list(range(2, 65)) + [257, 1024, 2048, 4096])
+def test_beta_sym_sf_matches_scipy(n):
+    edges = [-1.0, -(1.0 - 1e-9), -0.5, 0.0, 0.5, 1.0 - 1e-9, 1.0]
+    z = np.r_[edges, np.linspace(-1.0, 1.0, 401), np.random.default_rng(n).uniform(-1.0, 1.0, 200)]
+    got = beta_sym_sf(z, n)
+    assert got.shape == z.shape
+    assert np.max(np.abs(got - _scipy_sym_sf(z, n))) <= 1e-13
+    assert np.all((0.0 <= got) & (got <= 1.0))
+    # the scalar form, and the support's ends
+    assert beta_sym_sf(0.0, n) == pytest.approx(0.5, abs=1e-15)
+    assert beta_sym_sf(1.0, n) == 0.0 and beta_sym_sf(-1.0, n) == 1.0
+    assert list(beta_sym_sf([-3.0, 2.0], n)) == [1.0, 0.0]
+
+
+def test_beta_sym_sf_stays_in_the_unit_interval_near_the_ends():
+    # near z = 1 the tail is 1/2 less a sum near 1/2; unclipped it rounds below 0
+    for n in (2, 3, 64, 2048, 2049, 4096):
+        z = np.r_[1.0 - np.logspace(-16, -1, 400), -1.0 + np.logspace(-16, -1, 400)]
+        got = beta_sym_sf(z, n)
+        assert np.all((0.0 <= got) & (got <= 1.0)), n
+
+
+def test_beta_sym_sf_at_n2_is_the_arcsine_law():
+    # the U-shaped law of the paper's n = 2 counterexample: F(z) = 1/2 + arcsin(z)/pi
+    z = np.linspace(-1.0, 1.0, 1001)
+    assert np.max(np.abs(beta_sym_sf(z, 2) - (0.5 - np.arcsin(z) / np.pi))) <= 1e-15
+
+
+def test_beta_sym_sf_matches_the_scalar_cdf_and_rejects_n1():
+    for n in (2, 3, 10, 33):
+        for z in (-0.9, -0.2, 0.4, 0.99):
+            assert beta_sym_sf(z, n) == pytest.approx(beta_sym_cdf(-z, n), abs=1e-13)
+    with pytest.raises(ValueError):
+        beta_sym_sf(0.5, 1)

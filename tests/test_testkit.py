@@ -19,7 +19,7 @@ from nos.flipcore import (
     subgroup_from_basis_masks,
 )
 from nos.leak import Direction, MatrixRepresentation, matrix_representation
-from nos.special import beta_sym_cdf, beta_sym_quantile
+from nos.special import beta_sym_quantile
 from nos.testkit import (
     Dataset,
     _signflip_stats,
@@ -122,7 +122,8 @@ def test_mc_orthogonal_identity_included():
 @pytest.mark.parametrize("n", [2, 3, 10, 33])
 def test_mc_orthogonal_statistics_follow_the_symmetric_beta_law(n):
     # at ||x|| = 1 a draw's statistic is u, (1 + u) / 2 ~ Beta((n-1)/2, (n-1)/2):
-    # row q sits at iota'x = z_q, so its count less one is #{u >= z_q}
+    # row q sits at iota'x = z_q, so its count less one is #{u >= z_q}. The
+    # reference tail is scipy's, apart from the kernel's own special function
     probs = np.array([0.05, 0.25, 0.5, 0.75, 0.95])
     z = np.array([beta_sym_quantile(p, n) for p in probs])
     iota = Direction.uniform(n).coords
@@ -132,9 +133,44 @@ def test_mc_orthogonal_statistics_follow_the_symmetric_beta_law(n):
     draws = 100_000
     counts, _obs = exceed_counts("mc-orthogonal", X, iota=iota, M=draws + 1, rng=np.random.default_rng(n))
     upper = (counts - 1) / draws
-    want = np.array([1.0 - beta_sym_cdf(q, n) for q in z])
+    h = (n - 1) / 2
+    want = stats.beta.sf((z + 1) / 2, h, h)
     assert np.allclose(want, 1.0 - probs, atol=1e-10)
     assert np.all(np.abs(upper - want) <= 5 * np.sqrt(want * (1 - want) / draws))
+    # the law of a count, not only its mean: over repeated identical rows the
+    # counts less one are Bin(M - 1, p), so their variance is (M - 1) p (1 - p)
+    # within 5 SE. A kernel with the right mean and another spread fails here
+    rows, trials = 4000, 100
+    counts, _obs = exceed_counts(
+        "mc-orthogonal", np.repeat(X, rows, axis=0), iota=iota, M=trials + 1, rng=np.random.default_rng(n)
+    )
+    for k, p in enumerate(want):
+        c = counts[k * rows : (k + 1) * rows] - 1.0
+        var = trials * p * (1 - p)
+        mu4 = var * (1 + 3 * (trials - 2) * p * (1 - p))  # the binomial's fourth central moment
+        assert abs(c.mean() - trials * p) <= 5 * np.sqrt(var / rows), (k, c.mean())
+        assert abs(c.var(ddof=1) - var) <= 5 * np.sqrt((mu4 - var * var) / rows), (k, c.var(ddof=1), var)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7])
+def test_mc_orthogonal_zero_rows_and_two_sided_ties_count_every_draw(n):
+    # x = 0 ties every rotation on both sides; two-sided, a row with
+    # |iota'x| <= tau (z <= 0) is reached by every |u| ||x||
+    M = 64
+    iota = Direction.uniform(n).coords
+    rng = np.random.default_rng(3)
+    orth = rng.standard_normal((3, n))
+    orth -= np.outer(orth @ iota, iota)  # iota'x within rounding of 0
+    X = np.vstack([np.zeros(n), rng.standard_normal((4, n)) + 3.0 * iota, np.zeros(n), orth])
+    for side in ("one", "two"):
+        counts, _obs = exceed_counts("mc-orthogonal", X, side, iota=iota, M=M, rng=np.random.default_rng(4))
+        assert counts[0] == counts[5] == M, side
+        assert np.all((1 <= counts) & (counts <= M))
+        if side == "two" and n > 1:
+            assert np.all(np.abs(X[6:] @ iota) <= tie_tolerance(X[6:]))
+            assert np.all(counts[6:] == M)
+    with pytest.raises(ValueError):
+        mc_orthogonal_test(_dataset(np.zeros(n)), M=M, alpha=0.05)
 
 
 def test_mc_orthogonal_at_n1_draws_plus_or_minus_one():
