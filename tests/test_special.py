@@ -7,23 +7,34 @@ import pytest
 from scipy import special as sp
 from scipy import stats
 
-from nos.special import beta_sym_cdf, beta_sym_quantile, beta_sym_sf, betainc_reg
+from nos.special import beta_sym_cdf, beta_sym_quantile, beta_sym_sf
 from nos.testkit import Dataset, full_orthogonal_test
 
 
-@pytest.mark.parametrize("a,b", [(0.5, 0.5), (1.0, 3.0), (4.5, 4.5), (24.5, 0.5), (10.0, 2.0)])
-def test_betainc_matches_scipy(a, b):
-    for x in np.linspace(0.001, 0.999, 41):
-        assert betainc_reg(a, b, x) == pytest.approx(float(sp.betainc(a, b, x)), abs=1e-12)
+def _snapped(z):
+    # z on the multiples of 2^-53, so that the argument (1 + z) / 2 of a reference is exact
+    return np.round(np.asarray(z) * 2.0**53) / 2.0**53
 
 
-def test_betainc_endpoints_and_validation():
-    assert betainc_reg(2.0, 3.0, 0.0) == 0.0
-    assert betainc_reg(2.0, 3.0, 1.0) == 1.0
-    with pytest.raises(ValueError):
-        betainc_reg(0.0, 1.0, 0.5)
-    with pytest.raises(ValueError):
-        betainc_reg(1.0, 1.0, 1.5)
+@pytest.mark.parametrize("n", [2, 3, 16, 64, 1024, 4096, 16384, 65536])
+def test_beta_sym_cdf_matches_scipy(n):
+    # absolute on [-1, 1] (within 8 sd of 0 for large n, where the rest rounds to 0 or 1), and relative on
+    # the lower tail down to 1e-300, which p-values take; scipy's own distance from a 40-digit sum of the
+    # same series is up to 1.9e-12 relative at n = 16 384
+    h = (n - 1) / 2.0
+    zmax = 1.0 if n < 1024 else 8.0 / math.sqrt(n)
+    z = _snapped(np.r_[np.linspace(-zmax, zmax, 401), np.random.default_rng(n).uniform(-zmax, zmax, 200)])
+    want = np.where(z > 0, stats.beta.sf((1.0 - z) / 2.0, h, h), stats.beta.cdf((1.0 + z) / 2.0, h, h))
+    assert max(abs(beta_sym_cdf(float(v), n) - w) for v, w in zip(z, want)) <= 1e-12
+    z = _snapped(-np.linspace(0.0, 1.0, 1001)[1:-1])
+    want = stats.beta.cdf((1.0 + z) / 2.0, h, h)
+    z, want = z[want >= 1e-300], want[want >= 1e-300]
+    assert max(abs(beta_sym_cdf(float(v), n) / w - 1.0) for v, w in zip(z, want)) <= 1e-11
+    # the support's ends, and the centre exactly
+    assert (beta_sym_cdf(-1.0, n), beta_sym_cdf(0.0, n), beta_sym_cdf(1.0, n)) == (0.0, 0.5, 1.0)
+    for bad_z, bad_n in ((1.5, n), (-1.5, n), (0.5, 1)):
+        with pytest.raises(ValueError):
+            beta_sym_cdf(bad_z, bad_n)
 
 
 def test_beta_sym_cdf_symmetry():
@@ -124,8 +135,9 @@ def test_beta_sym_sf_at_n2_is_the_arcsine_law():
 
 
 def test_beta_sym_sf_matches_the_scalar_cdf_and_rejects_n1():
-    for n in (2, 3, 10, 33):
-        for z in (-0.9, -0.2, 0.4, 0.99):
+    for n in (2, 3, 10, 33, 1024, 4096):
+        # and within 1.2 sd of 0, where the mass of large n lies (the law's sd is 1 / sqrt(n))
+        for z in (-0.9, -0.2, 0.4, 0.99) + tuple(t / math.sqrt(n) for t in (-1.2, -0.6, 0.3, 0.9)):
             assert beta_sym_sf(z, n) == pytest.approx(beta_sym_cdf(-z, n), abs=1e-13)
     with pytest.raises(ValueError):
         beta_sym_sf(0.5, 1)
